@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .models import (  # noqa: E402
     KIND_ORDER,
-    MODEL_CATALOG,
     CurveModel,
     ModelKind,
     ParameterBoundsError,
@@ -66,7 +65,6 @@ __all__ = [
     "__version__",
     # models
     "KIND_ORDER",
-    "MODEL_CATALOG",
     "CurveModel",
     "ModelKind",
     "ParameterBoundsError",

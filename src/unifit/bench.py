@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._seeds import mix64
-from .fitting import FitConfig, FitFailureError, ParamSpec, _theta_from_unit, fit
+from .fitting import FitConfig, FitFailureError, _theta_from_unit, fit
 from .models import (
+    FAMILIES,
     KIND_ORDER,
     CurveModel,
     ModelKind,
@@ -52,39 +53,6 @@ _MODE_RANGE = (0.15, 0.85)
 _MIN_FWHM = 0.02
 _MAX_EDGE_FRACTION = 0.05  # shape at x in {0, 1} relative to the peak
 _MAX_REJECTIONS = 100
-
-#: Generation ranges for the synthetic benchmark.  These emphasize each
-#: family's characteristic geometry within the rise-and-return class the
-#: benchmark targets: broad steep-walled plateaus for the two maximum
-#: entropy families, steep-flanked bumps (after edge rejection) for the
-#: three classical references.  The fitter's start ranges stay wider, so
-#: every generated shape is inside the fitter's reach.
-GEN_PARAMS: dict[ModelKind, tuple[ParamSpec, ...]] = {
-    ModelKind.MAXENT: (
-        ParamSpec("a", "pos", 0.02, 0.7, True),
-        ParamSpec("b", "pos", 0.02, 0.7, True),
-    ),
-    ModelKind.BETA: (
-        ParamSpec("a", "gt1", 0.05, 0.2, True, shifted=True),
-        ParamSpec("b", "gt1", 0.05, 0.2, True, shifted=True),
-    ),
-    ModelKind.RICHARDS: (
-        ParamSpec("k", "pos", 2.0, 100.0, True),
-        ParamSpec("t0", "free", 0.0, 1.0, False),
-        ParamSpec("nu", "pos", 0.1, 10.0, True),
-    ),
-    ModelKind.SKEWNORMAL: (
-        ParamSpec("xi", "free", 0.0, 1.0, False),
-        ParamSpec("omega", "pos", 0.08, 0.3, True),
-        ParamSpec("alpha", "free", -2.5, 2.5, False),
-    ),
-    ModelKind.GENGAMMA: (
-        ParamSpec("alpha", "pos", 0.05, 2.0, True),
-        ParamSpec("d", "gt1", 1.1, 30.0, True),
-        ParamSpec("p", "pos", 0.5, 3.0, True),
-    ),
-}
-
 
 class GenerationError(RuntimeError):
     """Parameter generation exhausted its rejection budget."""
@@ -153,7 +121,7 @@ def _fwhm(params: ShapeParams, n_grid: int = 2049) -> float:
 
 
 def sample_generator_params(kind: ModelKind, rng_seed: int) -> ShapeParams:
-    """Draw shape parameters from the documented per-family ranges.
+    """Draw shape parameters from the generation ranges in ``FAMILIES``.
 
     Rejects draws whose peak lies outside [0.15, 0.85], whose width is
     below 0.02 (near-boundary spikes that no family can represent on the
@@ -162,12 +130,12 @@ def sample_generator_params(kind: ModelKind, rng_seed: int) -> ShapeParams:
     a reference level, rise once and return); deterministic given the
     seed.
     """
-    specs = GEN_PARAMS[kind]
+    specs = FAMILIES[kind].params
     rng = np.random.default_rng(rng_seed)
     edge_xs = np.array([0.0, 1.0])
     for _ in range(_MAX_REJECTIONS):
         u = rng.random(len(specs))
-        values = tuple(float(_theta_from_unit(spec, uj)) for spec, uj in zip(specs, u))
+        values = tuple(float(_theta_from_unit(spec, uj, *spec.gen)) for spec, uj in zip(specs, u))
         params = ShapeParams(kind, values)
         if not _MODE_RANGE[0] <= mode(params) <= _MODE_RANGE[1]:
             continue

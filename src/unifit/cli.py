@@ -23,8 +23,8 @@ from .dataio import (
 from .entropy import QuadratureSpec, constraint_integrals, entropy_of, perturbation_audit
 from .fitting import FitConfig, FitFailureError, fit
 from .models import (
+    FAMILIES,
     KIND_ORDER,
-    MODEL_CATALOG,
     ModelKind,
     ParameterBoundsError,
     ShapeParams,
@@ -100,9 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the entropy-maximality of a maxent or beta shape",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p_audit.add_argument(
-        "--model", required=True, choices=["maxent", "beta"], help="family to audit"
-    )
+    audited = [k.value for k in KIND_ORDER if FAMILIES[k].weights]
+    p_audit.add_argument("--model", required=True, choices=audited, help="family to audit")
     p_audit.add_argument("--a", type=float, required=True, help="first exponent")
     p_audit.add_argument("--b", type=float, required=True, help="second exponent")
     p_audit.add_argument(
@@ -116,6 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fit(args) -> int:
+    try:
+        config = FitConfig(starts=args.starts, seed=args.seed)
+    except ValueError as exc:
+        print(f"unifit fit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     path = Path(args.input)
     if not path.exists():
         print(f"unifit fit: input file not found: {path}", file=sys.stderr)
@@ -128,7 +132,6 @@ def _run_fit(args) -> int:
         return EXIT_USAGE
 
     kinds = list(KIND_ORDER) if args.model == "all" else [ModelKind.from_string(args.model)]
-    config = FitConfig(starts=args.starts, seed=args.seed)
 
     status = EXIT_OK
     fitted = []
@@ -207,6 +210,9 @@ def _run_bench(args) -> int:
 
 
 def _run_audit(args) -> int:
+    if args.perturbations < 0:
+        print(f"unifit audit: --perturbations {args.perturbations} is negative", file=sys.stderr)
+        return EXIT_USAGE
     kind = ModelKind.from_string(args.model)
     try:
         params = ShapeParams(kind, (args.a, args.b))
@@ -241,7 +247,7 @@ def _run_list_models(_args) -> int:
     print("model families (peak-normalized shapes on the unit interval):")
     for kind in KIND_ORDER:
         names = ", ".join(kind.param_names)
-        print(f"  {kind.value:<10} [{names}]  {MODEL_CATALOG[kind]}")
+        print(f"  {kind.value:<10} [{names}]  {FAMILIES[kind].description}")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._seeds import mix64
-from .models import EvalGrid, ModelKind, ShapeParams, log_shape_on_grid
+from .models import FAMILIES, EvalGrid, ModelKind, ShapeParams, log_shape_on_grid
 
 __all__ = [
     "QuadratureSpec",
@@ -112,9 +112,10 @@ def _quad_nodes(node_count: int, eps: float):
 
 
 def _require_entropy_family(params: ShapeParams) -> None:
-    if params.kind not in (ModelKind.MAXENT, ModelKind.BETA):
+    if FAMILIES[params.kind].weights is None:
+        supported = " and ".join(k.value for k in ModelKind if FAMILIES[k].weights)
         raise UnsupportedFamilyError(
-            f"entropy audit supports maxent and beta only, got {params.kind.value}"
+            f"entropy audit supports {supported} only, got {params.kind.value}"
         )
 
 
@@ -133,9 +134,8 @@ def _entropy_integral(p: np.ndarray, w: np.ndarray) -> float:
 
 
 def _weights_for(params: ShapeParams, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray]:
-    if params.kind is ModelKind.MAXENT:
-        return grid.inv_x, grid.inv_omx
-    return grid.log_x, grid.log_omx
+    f, g = FAMILIES[params.kind].weights
+    return getattr(grid, f), getattr(grid, g)
 
 
 def entropy_of(params: ShapeParams, quad: QuadratureSpec = QuadratureSpec()) -> float:

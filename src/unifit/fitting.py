@@ -2,18 +2,21 @@
 
 The optimizer is a Nelder-Mead simplex run in unconstrained coordinates:
 positive parameters go through a log transform, lower-bounded ones
-through a shifted log, free ones are identity-mapped, so every point the
-simplex can reach maps to valid shape parameters.  The amplitude is
+through a shifted log, free ones are identity-mapped, so in exact
+arithmetic every point the simplex can reach maps to valid shape
+parameters (in float64 the map can round onto a bound or overflow; ``fit``
+then raises ``FitFailureError``).  The amplitude is
 profiled out analytically at every loss evaluation (closed-form 1-D
 least squares against the unit-peak shape), which drops the search to at
 most three dimensions.
 
-Multi-start: initial points come from a seeded Latin hypercube over
-documented per-family ranges.  The pool is built in blocks of 16 (the
-default start count), so the pool for ``starts=k`` is a prefix of the
-pool for any larger count with the same seed.  All starts advance in
-lockstep and candidate losses are evaluated in batched vectorized calls;
-each start's trajectory is identical to running it alone.
+Multi-start: initial points come from a seeded Latin hypercube over the
+per-family start ranges in ``models.FAMILIES``.  The pool is built in
+blocks of 16 (the default start count), so the pool for ``starts=k`` is
+a prefix of the pool for any larger count with the same seed.  All
+starts advance in lockstep and candidate losses are evaluated in batched
+vectorized calls; each start's trajectory is identical to running it
+alone.
 """
 
 from __future__ import annotations
@@ -25,23 +28,24 @@ import numpy as np
 
 from ._seeds import mix64
 from .models import (
+    FAMILIES,
     KIND_ORDER,
     CurveModel,
     EvalGrid,
     ModelKind,
+    Param,
+    ParameterBoundsError,
     SampledSeries,
     ShapeParams,
-    _KERNELS,
     _log_peak,
     evaluate_on,
+    log_shape_on_grid,
 )
 
 __all__ = [
     "FitConfig",
     "FitResult",
     "FitFailureError",
-    "ParamSpec",
-    "FAMILY_PARAMS",
     "rms_loss",
     "fit",
 ]
@@ -51,8 +55,8 @@ _START_BLOCK = 16
 
 
 class FitFailureError(RuntimeError):
-    """Every start diverged to a non-finite loss (or the profiled
-    amplitude degenerated)."""
+    """Every start diverged to a non-finite loss, the best point is not
+    representable in float64, or the profiled amplitude degenerated."""
 
     def __init__(self, message: str, kind: ModelKind, start_losses: tuple[float, ...]):
         super().__init__(message)
@@ -96,118 +100,49 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    """Sampling range and bound handling for one shape parameter.
-
-    ``lo``/``hi`` bound the start/generation draws (log-uniform when
-    ``log_scale``); with ``shifted`` the range applies to theta - 1.
-    The constraint decides the unconstrained coordinate: ``pos`` maps
-    through exp(z), ``gt1`` through 1 + exp(z), ``free`` is identity.
-    """
-
-    name: str
-    constraint: str  # "pos" | "gt1" | "free"
-    lo: float
-    hi: float
-    log_scale: bool
-    shifted: bool = False
-
-
-FAMILY_PARAMS: dict[ModelKind, tuple[ParamSpec, ...]] = {
-    ModelKind.MAXENT: (
-        ParamSpec("a", "pos", 0.05, 50.0, True),
-        ParamSpec("b", "pos", 0.05, 50.0, True),
-    ),
-    ModelKind.BETA: (
-        ParamSpec("a", "gt1", 0.05, 50.0, True, shifted=True),
-        ParamSpec("b", "gt1", 0.05, 50.0, True, shifted=True),
-    ),
-    ModelKind.RICHARDS: (
-        ParamSpec("k", "pos", 2.0, 100.0, True),
-        ParamSpec("t0", "free", 0.0, 1.0, False),
-        ParamSpec("nu", "pos", 0.1, 10.0, True),
-    ),
-    ModelKind.SKEWNORMAL: (
-        ParamSpec("xi", "free", 0.0, 1.0, False),
-        ParamSpec("omega", "pos", 0.02, 1.0, True),
-        ParamSpec("alpha", "free", -20.0, 20.0, False),
-    ),
-    ModelKind.GENGAMMA: (
-        ParamSpec("alpha", "pos", 0.05, 2.0, True),
-        ParamSpec("d", "gt1", 1.1, 30.0, True),
-        ParamSpec("p", "pos", 0.3, 10.0, True),
-    ),
-}
-
-_KIND_INDEX = {kind: i for i, kind in enumerate(KIND_ORDER)}
-
 # Initial simplex edge per coordinate: a fixed fraction of the start box
 # width in unconstrained coordinates.
 _STEP_FRACTION = 0.08
 
 
-def _z_width(spec: ParamSpec) -> float:
+def _z_width(spec: Param) -> float:
     if spec.constraint == "free":
         return spec.hi - spec.lo
-    if spec.constraint == "pos":
-        return math.log(spec.hi) - math.log(spec.lo)
-    # gt1: width of log(theta - 1) over the sampling range
-    lo = spec.lo if spec.shifted else spec.lo - 1.0
-    hi = spec.hi if spec.shifted else spec.hi - 1.0
-    return math.log(hi) - math.log(lo)
+    # width of log(theta - bound) over the sampling range
+    shift = 0.0 if spec.shifted else spec.bound
+    return math.log(spec.hi - shift) - math.log(spec.lo - shift)
 
 
-_INITIAL_STEPS = {
-    kind: np.array([_STEP_FRACTION * _z_width(s) for s in specs])
-    for kind, specs in FAMILY_PARAMS.items()
-}
-
-
-def _theta_from_unit(spec: ParamSpec, u: np.ndarray) -> np.ndarray:
-    """Map uniform draws in [0, 1) to parameter values."""
+def _theta_from_unit(spec: Param, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map uniform draws in [0, 1) to parameter values in [lo, hi]."""
     if spec.log_scale:
-        base = spec.lo * (spec.hi / spec.lo) ** u
+        base = lo * (hi / lo) ** u
     else:
-        base = spec.lo + (spec.hi - spec.lo) * u
+        base = lo + (hi - lo) * u
     return 1.0 + base if spec.shifted else base
 
 
-def _z_from_theta(spec: ParamSpec, theta: np.ndarray) -> np.ndarray:
-    if spec.constraint == "pos":
-        return np.log(theta)
-    if spec.constraint == "gt1":
-        return np.log(theta - 1.0)
-    return +theta
+def _z_from_theta(spec: Param, theta: np.ndarray) -> np.ndarray:
+    if spec.constraint == "free":
+        return +theta
+    return np.log(theta - spec.bound)
 
 
-def _theta_from_z(spec: ParamSpec, z: float) -> float:
-    if spec.constraint == "pos":
-        return math.exp(z)
-    if spec.constraint == "gt1":
-        return 1.0 + math.exp(z)
-    return z
+def _theta_from_z(spec: Param, z: float) -> float:
+    if spec.constraint == "free":
+        return z
+    return spec.bound + math.exp(z)
 
 
-# Column plan per family: one vectorized exp, then patch the shifted and
-# identity-mapped columns.
-_COL_GT1 = {
-    kind: tuple(j for j, s in enumerate(specs) if s.constraint == "gt1")
-    for kind, specs in FAMILY_PARAMS.items()
-}
-_COL_FREE = {
-    kind: tuple(j for j, s in enumerate(specs) if s.constraint == "free")
-    for kind, specs in FAMILY_PARAMS.items()
-}
-
-
-def _theta_matrix(kind: ModelKind, Z: np.ndarray) -> np.ndarray:
-    """Unconstrained matrix (m, d) -> parameter matrix (m, d)."""
+def _theta_matrix(specs: tuple[Param, ...], Z: np.ndarray) -> np.ndarray:
+    """Unconstrained matrix (m, d) -> parameter matrix (m, d): one
+    vectorized exp, then patch the bounded and identity-mapped columns."""
     theta = np.exp(Z)
-    for j in _COL_GT1[kind]:
-        theta[:, j] += 1.0
-    for j in _COL_FREE[kind]:
-        theta[:, j] = Z[:, j]
+    for j, spec in enumerate(specs):
+        if spec.constraint == "free":
+            theta[:, j] = Z[:, j]
+        elif spec.bound:
+            theta[:, j] += spec.bound
     return theta
 
 
@@ -217,11 +152,11 @@ def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     Built in blocks of 16 so pools with the same seed nest: the pool for
     a smaller start count is a prefix of the pool for a larger one.
     """
-    specs = FAMILY_PARAMS[kind]
+    specs = FAMILIES[kind].params
     d = len(specs)
     blocks = []
     for b in range((starts + _START_BLOCK - 1) // _START_BLOCK):
-        rng = np.random.default_rng(mix64(seed, _START_TAG, _KIND_INDEX[kind], b))
+        rng = np.random.default_rng(mix64(seed, _START_TAG, KIND_ORDER.index(kind), b))
         u = np.empty((_START_BLOCK, d))
         for j in range(d):
             u[:, j] = (rng.permutation(_START_BLOCK) + rng.random(_START_BLOCK)) / _START_BLOCK
@@ -229,7 +164,7 @@ def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     u = np.vstack(blocks)[:starts]
     z = np.empty_like(u)
     for j, spec in enumerate(specs):
-        z[:, j] = _z_from_theta(spec, _theta_from_unit(spec, u[:, j]))
+        z[:, j] = _z_from_theta(spec, _theta_from_unit(spec, u[:, j], spec.lo, spec.hi))
     return z
 
 
@@ -250,12 +185,12 @@ def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     grid = EvalGrid(observed.xs)
     ys = observed.ys
     n = ys.size
-    kernel = _KERNELS[kind]
+    family = FAMILIES[kind]
 
     def batch_rms(Z: np.ndarray) -> np.ndarray:
         # caller holds an errstate that silences the expected warnings
-        theta = _theta_matrix(kind, Z)
-        ls = kernel(*(theta[:, j : j + 1] for j in range(Z.shape[1])), grid)
+        theta = _theta_matrix(family.params, Z)
+        ls = family.kernel(*(theta[:, j : j + 1] for j in range(Z.shape[1])), grid)
         peak = np.max(ls, axis=1, keepdims=True)
         s = np.exp(ls - peak)
         amp = (s * ys).sum(axis=1) / (s * s).sum(axis=1)
@@ -268,12 +203,10 @@ def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     return batch_rms
 
 
-def _profiled_amplitude(kind: ModelKind, observed: SampledSeries, params: ShapeParams) -> float:
+def _profiled_amplitude(observed: SampledSeries, params: ShapeParams) -> float:
     """Closed-form least-squares amplitude, converted to the peak-normalized
     convention (the in-loop profile normalizes by the grid maximum)."""
-    grid = EvalGrid(observed.xs)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ls = _KERNELS[kind](*params.values, grid)
+    ls = log_shape_on_grid(params, EvalGrid(observed.xs))
     peak_grid = float(np.max(ls))
     s = np.exp(ls - peak_grid)
     amp_grid = float((s * observed.ys).sum() / (s * s).sum())
@@ -299,16 +232,6 @@ def _nm_lockstep(batch_loss, Z0: np.ndarray, steps: np.ndarray, tol: float, max_
     V = np.repeat(Z0[:, None, :], nv, axis=1)  # (m, nv, d), m = active starts
     for i in range(d):
         V[:, i + 1, i] += steps[i]
-    old_err = np.seterr(divide="ignore", over="ignore", invalid="ignore")
-    try:
-        return _nm_lockstep_loop(batch_loss, V, tol, max_iter)
-    finally:
-        np.seterr(**old_err)
-
-
-def _nm_lockstep_loop(batch_loss, V: np.ndarray, tol: float, max_iter: int):
-    S, nv, d = V.shape
-    F = batch_loss(V.reshape(S * nv, d)).reshape(S, nv)
     idx = np.arange(S)  # original start index per active row
     iters = np.zeros(S, dtype=np.int64)
 
@@ -317,78 +240,80 @@ def _nm_lockstep_loop(batch_loss, V: np.ndarray, tol: float, max_iter: int):
     it_out = np.zeros(S, dtype=np.int64)
     cv_out = np.zeros(S, dtype=bool)
 
-    while F.shape[0]:
-        m = F.shape[0]
-        rows = np.arange(m)[:, None]
-        # keep each simplex sorted ascending (stable: ties keep prior order)
-        order = np.argsort(F, axis=1, kind="stable")
-        F = F[rows, order]
-        V = V[rows, order]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        F = batch_loss(V.reshape(S * nv, d)).reshape(S, nv)
+        while F.shape[0]:
+            m = F.shape[0]
+            rows = np.arange(m)[:, None]
+            # keep each simplex sorted ascending (stable: ties keep prior order)
+            order = np.argsort(F, axis=1, kind="stable")
+            F = F[rows, order]
+            V = V[rows, order]
 
-        spread = F[:, -1] - F[:, 0]
-        met_tol = spread <= tol  # NaN spread (all-inf simplex) keeps iterating
-        finished = met_tol | (iters >= max_iter)
-        if finished.any():
-            sel = idx[finished]
-            z_out[sel] = V[finished, 0]
-            f_out[sel] = F[finished, 0]
-            it_out[sel] = iters[finished]
-            cv_out[sel] = met_tol[finished]
-            keep = ~finished
-            V = V[keep]
-            F = F[keep]
-            idx = idx[keep]
-            iters = iters[keep]
-            if F.shape[0] == 0:
-                break
-        iters += 1
-        m = F.shape[0]
+            spread = F[:, -1] - F[:, 0]
+            met_tol = spread <= tol  # NaN spread (all-inf simplex) keeps iterating
+            finished = met_tol | (iters >= max_iter)
+            if finished.any():
+                sel = idx[finished]
+                z_out[sel] = V[finished, 0]
+                f_out[sel] = F[finished, 0]
+                it_out[sel] = iters[finished]
+                cv_out[sel] = met_tol[finished]
+                keep = ~finished
+                V = V[keep]
+                F = F[keep]
+                idx = idx[keep]
+                iters = iters[keep]
+                if F.shape[0] == 0:
+                    break
+            iters += 1
+            m = F.shape[0]
 
-        cen = V[:, :-1].mean(axis=1)
-        worst = V[:, -1]
-        delta = cen - worst
-        # speculative batch: reflection, expansion and contraction points
-        # are evaluated together in one call; unused values are discarded
-        cand = np.empty((3 * m, d))
-        xr = cand[:m]
-        np.add(cen, delta, out=xr)
-        np.add(cen, 2.0 * delta, out=cand[m : 2 * m])
-        np.subtract(cen, 0.5 * delta, out=cand[2 * m :])
-        fcand = batch_loss(cand)
-        fr = fcand[:m]
-        fe = fcand[m : 2 * m]
-        fc = fcand[2 * m :]
+            cen = V[:, :-1].mean(axis=1)
+            worst = V[:, -1]
+            delta = cen - worst
+            # speculative batch: reflection, expansion and contraction points
+            # are evaluated together in one call; unused values are discarded
+            cand = np.empty((3 * m, d))
+            xr = cand[:m]
+            np.add(cen, delta, out=xr)
+            np.add(cen, 2.0 * delta, out=cand[m : 2 * m])
+            np.subtract(cen, 0.5 * delta, out=cand[2 * m :])
+            fcand = batch_loss(cand)
+            fr = fcand[:m]
+            fe = fcand[m : 2 * m]
+            fc = fcand[2 * m :]
 
-        f_best = F[:, 0]
-        f_second = F[:, -2]
-        f_worst = F[:, -1]
-        expand = fr < f_best
-        accept = ~expand & (fr < f_second)
-        contract = ~(expand | accept)
+            f_best = F[:, 0]
+            f_second = F[:, -2]
+            f_worst = F[:, -1]
+            expand = fr < f_best
+            accept = ~expand & (fr < f_second)
+            contract = ~(expand | accept)
 
-        if accept.any():
-            V[accept, -1] = xr[accept]
-            F[accept, -1] = fr[accept]
-        if expand.any():
-            take_e = expand & (fe < fr)
-            take_r = expand & ~take_e
-            if take_e.any():
-                V[take_e, -1] = cand[m : 2 * m][take_e]
-                F[take_e, -1] = fe[take_e]
-            if take_r.any():
-                V[take_r, -1] = xr[take_r]
-                F[take_r, -1] = fr[take_r]
-        if contract.any():
-            take_c = contract & (fc < f_worst)
-            if take_c.any():
-                V[take_c, -1] = cand[2 * m :][take_c]
-                F[take_c, -1] = fc[take_c]
-            shrink = contract & ~take_c
-            if shrink.any():
-                best_v = V[shrink, 0][:, None, :]
-                newv = best_v + 0.5 * (V[shrink, 1:] - best_v)  # (ms, d, d)
-                V[shrink, 1:] = newv
-                F[shrink, 1:] = batch_loss(newv.reshape(-1, d)).reshape(-1, d)
+            if accept.any():
+                V[accept, -1] = xr[accept]
+                F[accept, -1] = fr[accept]
+            if expand.any():
+                take_e = expand & (fe < fr)
+                take_r = expand & ~take_e
+                if take_e.any():
+                    V[take_e, -1] = cand[m : 2 * m][take_e]
+                    F[take_e, -1] = fe[take_e]
+                if take_r.any():
+                    V[take_r, -1] = xr[take_r]
+                    F[take_r, -1] = fr[take_r]
+            if contract.any():
+                take_c = contract & (fc < f_worst)
+                if take_c.any():
+                    V[take_c, -1] = cand[2 * m :][take_c]
+                    F[take_c, -1] = fc[take_c]
+                shrink = contract & ~take_c
+                if shrink.any():
+                    best_v = V[shrink, 0][:, None, :]
+                    newv = best_v + 0.5 * (V[shrink, 1:] - best_v)  # (ms, d, d)
+                    V[shrink, 1:] = newv
+                    F[shrink, 1:] = batch_loss(newv.reshape(-1, d)).reshape(-1, d)
 
     return z_out, f_out, it_out, cv_out
 
@@ -416,10 +341,12 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
             (),
         )
 
+    specs = FAMILIES[kind].params
+    steps = np.array([_STEP_FRACTION * _z_width(spec) for spec in specs])
     batch_loss = _make_batch_loss(kind, observed)
     Z0 = start_pool(kind, config.starts, config.seed)
     zb, fb, iters, conv = _nm_lockstep(
-        batch_loss, Z0, _INITIAL_STEPS[kind], config.simplex_tolerance, config.max_iterations
+        batch_loss, Z0, steps, config.simplex_tolerance, config.max_iterations
     )
 
     best = int(np.argmin(fb))  # exact ties resolve to the lowest start index
@@ -432,10 +359,17 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
             start_losses,
         )
 
-    specs = FAMILY_PARAMS[kind]
-    theta = tuple(_theta_from_z(spec, float(zb[best, j])) for j, spec in enumerate(specs))
-    params = ShapeParams(kind, theta)
-    amplitude = _profiled_amplitude(kind, observed, params)
+    try:
+        theta = tuple(_theta_from_z(spec, float(zb[best, j])) for j, spec in enumerate(specs))
+        params = ShapeParams(kind, theta)
+        amplitude = _profiled_amplitude(observed, params)
+    except (OverflowError, ParameterBoundsError) as exc:
+        # exact in real arithmetic, the z -> theta map can leave the family's
+        # bounds in float64 (1 + exp(z) rounds to 1); it, the mode and the
+        # amplitude rescale can also overflow
+        raise FitFailureError(
+            f"{kind.value} optimum is not representable in float64: {exc}", kind, start_losses
+        ) from exc
     if not (math.isfinite(amplitude) and amplitude > 0.0):
         raise FitFailureError(
             f"degenerate profiled amplitude {amplitude!r} for {kind.value}",

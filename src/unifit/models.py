@@ -19,7 +19,8 @@ Families:
   d > 1 so the peak is interior.
 
 All shape kernels are evaluated in log space so that deeply spiked
-shapes normalize without underflow.
+shapes normalize without underflow.  Everything known about a family is
+defined once, in its ``FAMILIES`` entry.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
@@ -36,7 +38,9 @@ __all__ = [
     "ParameterBoundsError",
     "ModelKind",
     "KIND_ORDER",
-    "MODEL_CATALOG",
+    "Param",
+    "Family",
+    "FAMILIES",
     "ShapeParams",
     "CurveModel",
     "SampledSeries",
@@ -69,15 +73,15 @@ class ModelKind(enum.Enum):
     @property
     def n_params(self) -> int:
         """Number of shape parameters (amplitude not included)."""
-        return len(_PARAM_NAMES[self])
+        return len(FAMILIES[self].params)
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
+        return tuple(spec.name for spec in FAMILIES[self].params)
 
     @property
     def display_name(self) -> str:
-        return _DISPLAY_NAMES[self]
+        return FAMILIES[self].display_name
 
     @classmethod
     def from_string(cls, name: str) -> "ModelKind":
@@ -89,95 +93,25 @@ class ModelKind(enum.Enum):
 
 
 #: Row/column order used by the cross-comparison table and the CLI.
-KIND_ORDER = (
-    ModelKind.RICHARDS,
-    ModelKind.SKEWNORMAL,
-    ModelKind.GENGAMMA,
-    ModelKind.MAXENT,
-    ModelKind.BETA,
-)
-
-_PARAM_NAMES = {
-    ModelKind.RICHARDS: ("k", "t0", "nu"),
-    ModelKind.SKEWNORMAL: ("xi", "omega", "alpha"),
-    ModelKind.GENGAMMA: ("alpha", "d", "p"),
-    ModelKind.MAXENT: ("a", "b"),
-    ModelKind.BETA: ("a", "b"),
-}
-
-_DISPLAY_NAMES = {
-    ModelKind.RICHARDS: "Richards",
-    ModelKind.SKEWNORMAL: "Skewnormal",
-    ModelKind.GENGAMMA: "GenGamma",
-    ModelKind.MAXENT: "MaxEnt",
-    ModelKind.BETA: "Beta",
-}
-
-#: One-line description per family, shown by the CLI model listing.
-MODEL_CATALOG = {
-    ModelKind.RICHARDS: (
-        "derivative of the Richards (generalized logistic) growth curve; "
-        "k > 0 rate, t0 peak location (free), nu > 0 asymmetry"
-    ),
-    ModelKind.SKEWNORMAL: (
-        "skew-normal density restricted to [0, 1]; xi location (free), "
-        "omega > 0 scale, alpha skewness (free)"
-    ),
-    ModelKind.GENGAMMA: (
-        "generalized gamma kernel x^(d-1) exp(-(x/alpha)^p); alpha > 0 "
-        "scale, d > 1 shape (interior peak), p > 0 power"
-    ),
-    ModelKind.MAXENT: (
-        "maximum entropy shape exp(-a/x - b/(1-x)); a, b > 0; vanishes at "
-        "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))"
-    ),
-    ModelKind.BETA: (
-        "beta kernel x^(a-1) (1-x)^(b-1); a, b >= 1; maximum entropy shape "
-        "under logarithmic boundary weights"
-    ),
-}
+KIND_ORDER = tuple(ModelKind)
 
 
 def _check_bounds(kind: ModelKind, values: tuple[float, ...]) -> None:
-    for name, v in zip(_PARAM_NAMES[kind], values):
+    specs = FAMILIES[kind].params
+    for spec, v in zip(specs, values):
         if not math.isfinite(v):
             raise ParameterBoundsError(
-                f"{kind.value} requires finite parameters, got {name}={v!r}"
+                f"{kind.value} requires finite parameters, got {spec.name}={v!r}"
             )
-    if kind is ModelKind.MAXENT:
-        a, b = values
-        if a <= 0.0:
-            raise ParameterBoundsError(f"maxent requires a > 0, got a={a!r}")
-        if b <= 0.0:
-            raise ParameterBoundsError(f"maxent requires b > 0, got b={b!r}")
-    elif kind is ModelKind.BETA:
-        a, b = values
-        if a < 1.0:
-            raise ParameterBoundsError(f"beta requires a >= 1, got a={a!r}")
-        if b < 1.0:
-            raise ParameterBoundsError(f"beta requires b >= 1, got b={b!r}")
-    elif kind is ModelKind.RICHARDS:
-        k, _t0, nu = values
-        if k <= 0.0:
-            raise ParameterBoundsError(f"richards requires k > 0, got k={k!r}")
-        if nu <= 0.0:
-            raise ParameterBoundsError(f"richards requires nu > 0, got nu={nu!r}")
-    elif kind is ModelKind.SKEWNORMAL:
-        _xi, omega, _alpha = values
-        if omega <= 0.0:
+    for spec, v in zip(specs, values):
+        if spec.constraint == "free":
+            continue
+        bound, strict = _BOUNDS[spec.constraint]
+        if v < bound or (strict and v == bound):
+            op = ">" if strict else ">="
             raise ParameterBoundsError(
-                f"skewnormal requires omega > 0, got omega={omega!r}"
+                f"{kind.value} requires {spec.name} {op} {bound:g}, got {spec.name}={v!r}"
             )
-    elif kind is ModelKind.GENGAMMA:
-        alpha, d, p = values
-        if alpha <= 0.0:
-            raise ParameterBoundsError(
-                f"gengamma requires alpha > 0, got alpha={alpha!r}"
-            )
-        if d <= 1.0:
-            raise ParameterBoundsError(f"gengamma requires d > 1, got d={d!r}")
-        if p <= 0.0:
-            raise ParameterBoundsError(f"gengamma requires p > 0, got p={p!r}")
 
 
 @dataclass(frozen=True)
@@ -303,12 +237,119 @@ def _ls_gengamma(alpha, d, p, grid: EvalGrid):
     return (d - 1.0) * grid.log_x - np.exp(p * (grid.log_x - np.log(alpha)))
 
 
-_KERNELS = {
-    ModelKind.MAXENT: _ls_maxent,
-    ModelKind.BETA: _ls_beta,
-    ModelKind.RICHARDS: _ls_richards,
-    ModelKind.SKEWNORMAL: _ls_skewnormal,
-    ModelKind.GENGAMMA: _ls_gengamma,
+def _mode_maxent(a, b):
+    sa, sb = math.sqrt(a), math.sqrt(b)
+    return sa / (sa + sb)
+
+
+def _mode_beta(a, b):
+    if a + b > 2.0:
+        return min(1.0, max(0.0, (a - 1.0) / (a + b - 2.0)))
+    return 0.5  # flat case a = b = 1: any point works, pick the center
+
+
+def _mode_gengamma(alpha, d, p):
+    return min(1.0, alpha * ((d - 1.0) / p) ** (1.0 / p))
+
+
+# --- the family registry ----------------------------------------------------
+
+#: Lower bound per constraint, and whether the bound itself is excluded.
+_BOUNDS = {"pos": (0.0, True), "ge1": (1.0, False), "gt1": (1.0, True)}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One shape parameter: its bound and the ranges it is drawn from.
+
+    ``constraint`` is the bound (``pos``: > 0, ``ge1``: >= 1, ``gt1``:
+    > 1, ``free``: none) and picks the fitter's unconstrained coordinate:
+    theta = bound + exp(z), or theta = z for ``free``.  ``lo``/``hi``
+    bound the fitter's start draws and ``gen`` the benchmark's generation
+    draws, log-uniform when ``log_scale``; with ``shifted`` both ranges
+    apply to theta - 1.
+    """
+
+    name: str
+    constraint: str  # "pos" | "ge1" | "gt1" | "free"
+    lo: float
+    hi: float
+    gen: tuple[float, float]
+    log_scale: bool
+    shifted: bool = False
+
+    @property
+    def bound(self) -> float:
+        """Lower bound of a constrained parameter: 0 or 1."""
+        return _BOUNDS[self.constraint][0]
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one model family.
+
+    ``mode`` is the analytic peak location (None: numeric argmax);
+    ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
+    audit's constraint integrals (None: the family is not audited).
+    """
+
+    display_name: str
+    color: str
+    kernel: Callable
+    description: str
+    params: tuple[Param, ...]
+    mode: Callable[..., float] | None = None
+    weights: tuple[str, str] | None = None
+
+
+# Generation ranges emphasize each family's characteristic geometry within
+# the rise-and-return class the benchmark targets: broad steep-walled
+# plateaus for the two maximum entropy families, steep-flanked bumps (after
+# edge rejection) for the three classical references.  They need not lie
+# inside the start ranges (maxent's reaches below its start range): what
+# matters is that the unconstrained map reaches every generated value.
+FAMILIES: dict[ModelKind, Family] = {
+    ModelKind.RICHARDS: Family(
+        "Richards", "#1f77b4", _ls_richards,
+        "derivative of the Richards (generalized logistic) growth curve; "
+        "k > 0 rate, t0 peak location (free), nu > 0 asymmetry",
+        (Param("k", "pos", 2.0, 100.0, (2.0, 100.0), True),
+         Param("t0", "free", 0.0, 1.0, (0.0, 1.0), False),
+         Param("nu", "pos", 0.1, 10.0, (0.1, 10.0), True)),
+    ),
+    ModelKind.SKEWNORMAL: Family(
+        "Skewnormal", "#9467bd", _ls_skewnormal,
+        "skew-normal density restricted to [0, 1]; xi location (free), "
+        "omega > 0 scale, alpha skewness (free)",
+        (Param("xi", "free", 0.0, 1.0, (0.0, 1.0), False),
+         Param("omega", "pos", 0.02, 1.0, (0.08, 0.3), True),
+         Param("alpha", "free", -20.0, 20.0, (-2.5, 2.5), False)),
+    ),
+    ModelKind.GENGAMMA: Family(
+        "GenGamma", "#2ca02c", _ls_gengamma,
+        "generalized gamma kernel x^(d-1) exp(-(x/alpha)^p); alpha > 0 "
+        "scale, d > 1 shape (interior peak), p > 0 power",
+        (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
+         Param("d", "gt1", 1.1, 30.0, (1.1, 30.0), True),
+         Param("p", "pos", 0.3, 10.0, (0.5, 3.0), True)),
+        mode=_mode_gengamma,
+    ),
+    ModelKind.MAXENT: Family(
+        "MaxEnt", "#d62728", _ls_maxent,
+        "maximum entropy shape exp(-a/x - b/(1-x)); a, b > 0; vanishes at "
+        "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))",
+        (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
+         Param("b", "pos", 0.05, 50.0, (0.02, 0.7), True)),
+        mode=_mode_maxent, weights=("inv_x", "inv_omx"),
+    ),
+    ModelKind.BETA: Family(
+        "Beta", "#ff7f0e", _ls_beta,
+        "beta kernel x^(a-1) (1-x)^(b-1); a, b >= 1; maximum entropy shape "
+        "under logarithmic boundary weights",
+        (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),
+         Param("b", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True)),
+        mode=_mode_beta, weights=("log_x", "log_omx"),
+    ),
 }
 
 
@@ -318,7 +359,7 @@ def log_shape_on_grid(params: ShapeParams, grid: EvalGrid) -> np.ndarray:
     Entries are ``-inf`` where the shape is exactly zero.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _KERNELS[params.kind](*params.values, grid)
+        return FAMILIES[params.kind].kernel(*params.values, grid)
 
 
 def shape_value(params: ShapeParams, x: float) -> float:
@@ -368,23 +409,6 @@ def _argmax_numeric(params: ShapeParams, n_grid: int = 4097, tol: float = 1e-10)
 
 
 @lru_cache(maxsize=4096)
-def _mode_cached(params: ShapeParams) -> float:
-    kind = params.kind
-    v = params.values
-    if kind is ModelKind.MAXENT:
-        sa, sb = math.sqrt(v[0]), math.sqrt(v[1])
-        return sa / (sa + sb)
-    if kind is ModelKind.BETA:
-        a, b = v
-        if a + b > 2.0:
-            return min(1.0, max(0.0, (a - 1.0) / (a + b - 2.0)))
-        return 0.5  # flat case a = b = 1: any point works, pick the center
-    if kind is ModelKind.GENGAMMA:
-        alpha, d, p = v
-        return min(1.0, alpha * ((d - 1.0) / p) ** (1.0 / p))
-    return _argmax_numeric(params)
-
-
 def mode(params: ShapeParams) -> float:
     """Peak location in [0, 1].
 
@@ -392,12 +416,13 @@ def mode(params: ShapeParams) -> float:
     golden-section refinement) for richards and skewnormal, clamped to the
     unit interval.
     """
-    return _mode_cached(params)
+    analytic = FAMILIES[params.kind].mode
+    return analytic(*params.values) if analytic else _argmax_numeric(params)
 
 
 @lru_cache(maxsize=4096)
 def _log_peak(params: ShapeParams) -> float:
-    return _scalar_log_shape(params, _mode_cached(params))
+    return _scalar_log_shape(params, mode(params))
 
 
 def evaluate_on(model: CurveModel, xs: np.ndarray) -> np.ndarray:

@@ -10,18 +10,10 @@ import math
 from pathlib import Path
 
 from .dataio import RawSeries
-from .models import ModelKind
+from .models import FAMILIES
 
-__all__ = ["FAMILY_COLORS", "render_plot"]
+__all__ = ["render_plot"]
 
-#: Fixed per-family curve colors.
-FAMILY_COLORS = {
-    ModelKind.RICHARDS: "#1f77b4",
-    ModelKind.SKEWNORMAL: "#9467bd",
-    ModelKind.GENGAMMA: "#2ca02c",
-    ModelKind.MAXENT: "#d62728",
-    ModelKind.BETA: "#ff7f0e",
-}
 _DATA_COLOR = "#333333"
 
 _WIDTH = 900
@@ -134,7 +126,7 @@ def render_plot(raw: RawSeries | None, fits, path) -> None:
     )
 
     for kind, curve in fits:
-        color = FAMILY_COLORS[kind]
+        color = FAMILIES[kind].color
         points = " ".join(
             f"{px(float(t)):.2f},{py(float(v)):.2f}"
             for t, v in zip(curve.times, curve.values)
@@ -155,7 +147,7 @@ def render_plot(raw: RawSeries | None, fits, path) -> None:
     entries: list[tuple[str, str, str]] = []
     if raw is not None:
         entries.append(("data", _DATA_COLOR, "circle"))
-    entries.extend((kind.display_name, FAMILY_COLORS[kind], "line") for kind, _ in fits)
+    entries.extend((kind.display_name, FAMILIES[kind].color, "line") for kind, _ in fits)
     for i, (label, color, marker) in enumerate(entries):
         ly = legend_y + i * 22
         if marker == "circle":

@@ -157,6 +157,14 @@ class TestBenchCommand:
     def test_bad_flags_exit_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "bench", "--trials", "0", "--out", str(tmp_path / "t.csv"))
         assert code == 1
+        # out-of-range values of the other commands: one line, no traceback
+        for argv in (
+            ["fit", "--input", str(bundled_dataset_path("st_matthew")), "--starts", "0"],
+            ["audit", "--model", "maxent", "--a", "1", "--b", "1", "--perturbations", "-1"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert len(err.splitlines()) == 1
 
 
 class TestAuditCommand:

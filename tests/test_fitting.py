@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifit import (
     CurveModel,
@@ -9,6 +11,7 @@ from unifit import (
     FitFailureError,
     KIND_ORDER,
     ModelKind,
+    ParameterBoundsError,
     SampledSeries,
     ShapeParams,
     fit,
@@ -16,7 +19,8 @@ from unifit import (
     sample_series,
 )
 import unifit.fitting as fitting
-from unifit.fitting import FAMILY_PARAMS, start_pool
+from unifit.fitting import start_pool
+from unifit.models import FAMILIES
 
 
 def maxent_series(a, b, n=101):
@@ -108,6 +112,27 @@ class TestFit:
             # reconstructing the params re-runs the family bound checks
             ShapeParams(kind, result.model.params.values)
 
+    def test_flat_series_unrepresentable_optimum_is_fit_failure(self):
+        # the optimizer drives gengamma's d toward 1, where 1 + exp(z)
+        # rounds to exactly 1.0 and leaves the family's bounds
+        series = SampledSeries(np.linspace(0.02, 0.98, 10), np.ones(10))
+        with pytest.raises(FitFailureError) as err:
+            fit(series, ModelKind.GENGAMMA, FitConfig(seed=1))
+        assert len(err.value.start_losses) == 16
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    @settings(max_examples=20, deadline=None)
+    @given(ys=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=12))
+    def test_contract_on_short_series(self, kind, ys):
+        # fit returns in-bounds parameters or raises one of its two errors
+        series = SampledSeries(np.linspace(0.0, 1.0, len(ys)), np.array(ys))
+        try:
+            result = fit(series, kind, FitConfig(seed=0))
+        except (FitFailureError, ValueError) as exc:
+            assert not isinstance(exc, ParameterBoundsError), exc
+            return
+        ShapeParams(kind, result.model.params.values)
+
     def test_all_starts_diverged_raises_with_diagnostics(self, monkeypatch):
         def bad_loss_factory(kind, observed):
             return lambda Z: np.full(Z.shape[0], np.inf)
@@ -152,15 +177,15 @@ class TestStartPool:
     def test_latin_hypercube_stratification(self):
         # per dimension, each of the 16 strata contains exactly one draw
         pool = start_pool(ModelKind.MAXENT, 16, seed=0)
-        specs = FAMILY_PARAMS[ModelKind.MAXENT]
+        specs = FAMILIES[ModelKind.MAXENT].params
         for j, spec in enumerate(specs):
             u = (pool[:, j] - math.log(spec.lo)) / (math.log(spec.hi) - math.log(spec.lo))
             assert sorted(np.floor(u * 16).astype(int)) == list(range(16))
 
     def test_within_documented_ranges(self):
-        for kind, specs in FAMILY_PARAMS.items():
+        for kind, family in FAMILIES.items():
             pool = start_pool(kind, 16, seed=1)
-            for j, spec in enumerate(specs):
+            for j, spec in enumerate(family.params):
                 theta = [fitting._theta_from_z(spec, z) for z in pool[:, j]]
                 lo = 1.0 + spec.lo if spec.shifted else spec.lo
                 hi = 1.0 + spec.hi if spec.shifted else spec.hi

@@ -189,6 +189,8 @@ class TestValidation:
             (ModelKind.SKEWNORMAL, (0.5, 0.0, 1.0), "omega > 0"),
             (ModelKind.GENGAMMA, (1.0, 1.0, 1.0), "d > 1"),
             (ModelKind.GENGAMMA, (1.0, 2.0, 0.0), "p > 0"),
+            (ModelKind.BETA, (2.0, 0.999), "b >= 1"),
+            (ModelKind.GENGAMMA, (0.0, 2.0, 1.0), "alpha > 0"),
         ],
     )
     def test_bounds_violations_name_constraint(self, kind, values, fragment):
