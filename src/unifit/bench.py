@@ -218,11 +218,10 @@ def cross_compare(config: BenchConfig = BenchConfig(), *, workers: int = 1) -> C
     tasks = [(g, trial) for g in range(n_kinds) for trial in range(config.trials_per_cell)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
 
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=get_context("fork")
-        ) as pool:
+        # the default start method: _row_job and its arguments pickle, so
+        # spawn and forkserver work as well as fork
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _row_job,

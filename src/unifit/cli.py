@@ -94,6 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--noise", type=float, default=0.0, help="gaussian noise sd")
     p_bench.add_argument("--seed", type=int, default=0, help="random seed")
     p_bench.add_argument("--out", required=True, help="write the 25-row CSV table here")
+    p_bench.add_argument(
+        "--workers", type=int, default=1, help="worker processes (the table does not depend on it)"
+    )
 
     p_audit = sub.add_parser(
         "audit",
@@ -179,6 +182,9 @@ def _run_fit(args) -> int:
 
 
 def _run_bench(args) -> int:
+    if args.workers < 1:
+        print(f"unifit bench: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = BenchConfig(
             trials_per_cell=args.trials,
@@ -191,7 +197,11 @@ def _run_bench(args) -> int:
         print(f"unifit bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    table = cross_compare(config)
+    # the default, workers=1, runs in this process
+    if args.workers == 1:
+        table = cross_compare(config)
+    else:
+        table = cross_compare(config, workers=args.workers)
     rendered = render_table(table)
     try:
         Path(args.out).write_text(rendered.csv, encoding="utf-8")

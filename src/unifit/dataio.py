@@ -233,27 +233,64 @@ def write_fit(result: FitResult, transform: DomainTransform, path) -> None:
         raise OSError(f"cannot write fit document to {path}: {exc}") from exc
 
 
+_JSON_TYPES = {
+    str: "a string", dict: "an object", float: "a number", int: "an integer", bool: "true or false"
+}
+
+
+def _field(doc: dict, key: str, kind: type, where: str = ""):
+    """``doc[key]`` checked against its JSON type; numbers come back as float."""
+    name = where + key
+    if key not in doc:
+        raise SeriesFormatError(f"fit document has no key {name!r}")
+    value = doc[key]
+    if kind in (int, float):
+        # JSON true/false load as bool, a subclass of int
+        ok = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise SeriesFormatError(
+            f"fit document key {name!r} must be {_JSON_TYPES[kind]}, got {type(value).__name__}"
+        )
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise SeriesFormatError(f"fit document key {name!r} is out of float range") from None
+    return value
+
+
 def read_fit(path) -> FitDocument:
-    """Read back a document produced by ``write_fit``."""
+    """Read back a document produced by ``write_fit``.
+
+    A document that is not a JSON object, or lacks a key or has one of the
+    wrong JSON type, raises ``SeriesFormatError`` naming the key.
+    """
     if hasattr(path, "read"):
         doc = json.load(path)
     else:
         with io.open(Path(path), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    kind = ModelKind.from_string(doc["model"])
-    values = tuple(doc["parameters"][name] for name in kind.param_names)
-    model = CurveModel(ShapeParams(kind, values), doc["amplitude"])
-    tr = doc["transform"]
-    opt = doc["optimizer"]
+    if not isinstance(doc, dict):
+        raise SeriesFormatError(f"fit document must be a JSON object, got {type(doc).__name__}")
+    kind = ModelKind.from_string(_field(doc, "model", str))
+    params = _field(doc, "parameters", dict)
+    values = tuple(_field(params, name, float, "parameters.") for name in kind.param_names)
+    model = CurveModel(ShapeParams(kind, values), _field(doc, "amplitude", float))
+    tr = _field(doc, "transform", dict)
+    opt = _field(doc, "optimizer", dict)
     return FitDocument(
         model=model,
-        transform=DomainTransform(tr["t_min"], tr["t_max"], tr["y_scale"]),
-        rms_normalized=doc["rms_normalized"],
-        rms_original=doc["rms_original"],
-        starts=opt["starts"],
-        iterations_used=opt["iterations_used"],
-        converged=opt["converged"],
-        version=doc["version"],
+        transform=DomainTransform(
+            *(_field(tr, key, float, "transform.") for key in ("t_min", "t_max", "y_scale"))
+        ),
+        rms_normalized=_field(doc, "rms_normalized", float),
+        rms_original=_field(doc, "rms_original", float),
+        starts=_field(opt, "starts", int, "optimizer."),
+        iterations_used=_field(opt, "iterations_used", int, "optimizer."),
+        converged=_field(opt, "converged", bool, "optimizer."),
+        version=_field(doc, "version", str),
     )
 
 

@@ -14,9 +14,11 @@ Multi-start: initial points come from a seeded Latin hypercube over the
 per-family start ranges in ``models.FAMILIES``.  The pool is built in
 blocks of 16 (the default start count), so the pool for ``starts=k`` is
 a prefix of the pool for any larger count with the same seed.  All
-starts advance in lockstep and candidate losses are evaluated in batched
-vectorized calls; each start's trajectory is identical to running it
-alone.
+starts advance in lockstep.  Each pass evaluates the reflection points of
+all starts in one batched loss call, then, in a second call, only the
+expansion or contraction points that the reflections call for; shrinks
+take a third.  A row's loss does not depend on which rows share its
+batch, so each start's trajectory is identical to running it alone.
 """
 
 from __future__ import annotations
@@ -134,18 +136,6 @@ def _theta_from_z(spec: Param, z: float) -> float:
     return spec.bound + math.exp(z)
 
 
-def _theta_matrix(specs: tuple[Param, ...], Z: np.ndarray) -> np.ndarray:
-    """Unconstrained matrix (m, d) -> parameter matrix (m, d): one
-    vectorized exp, then patch the bounded and identity-mapped columns."""
-    theta = np.exp(Z)
-    for j, spec in enumerate(specs):
-        if spec.constraint == "free":
-            theta[:, j] = Z[:, j]
-        elif spec.bound:
-            theta[:, j] += spec.bound
-    return theta
-
-
 def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     """Seeded Latin-hypercube start points in unconstrained coordinates.
 
@@ -179,26 +169,38 @@ def rms_loss(observed: SampledSeries, model: CurveModel) -> float:
 def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     """Vectorized profiled-amplitude rms loss: (m, d) z-matrix -> (m,).
 
-    Row reductions use .sum(axis=1) (not BLAS) so each row's value is
-    independent of how many rows are evaluated together.
+    Row reductions use np.add.reduce along the rows (not BLAS) so each
+    row's value is independent of how many rows are evaluated together.
     """
     grid = EvalGrid(observed.xs)
     ys = observed.ys
     n = ys.size
     family = FAMILIES[kind]
+    # z -> theta: bound + exp(z), or z itself in the free columns
+    specs = family.params
+    free = np.array([spec.constraint == "free" for spec in specs])
+    offsets = np.array([0.0 if spec.constraint == "free" else spec.bound for spec in specs])
 
     def batch_rms(Z: np.ndarray) -> np.ndarray:
         # caller holds an errstate that silences the expected warnings
-        theta = _theta_matrix(family.params, Z)
-        ls = family.kernel(*(theta[:, j : j + 1] for j in range(Z.shape[1])), grid)
-        peak = np.max(ls, axis=1, keepdims=True)
-        s = np.exp(ls - peak)
-        amp = (s * ys).sum(axis=1) / (s * s).sum(axis=1)
+        theta = np.exp(Z)
+        theta += offsets
+        np.copyto(theta, Z, where=free)
+        ls = family.kernel(*theta.T[:, :, None], grid)
+        ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
+        s = np.exp(ls, out=ls)
+        tmp = s * ys
+        num = np.add.reduce(tmp, axis=1)
+        amp = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
+        np.divide(num, amp, out=amp)
         np.maximum(amp, 0.0, out=amp)
-        r = ys - amp[:, None] * s
-        out = np.sqrt((r * r).sum(axis=1) / n)
-        out[~np.isfinite(out)] = np.inf
-        return out
+        r = np.multiply(amp[:, None], s, out=tmp)
+        np.square(np.subtract(ys, r, out=r), out=r)
+        out = np.add.reduce(r, axis=1)
+        out /= n
+        np.sqrt(out, out=out)
+        # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
+        return np.fmin(out, np.inf, out=out)
 
     return batch_rms
 
@@ -223,9 +225,13 @@ def _nm_lockstep(batch_loss, Z0: np.ndarray, steps: np.ndarray, tol: float, max_
     expansion 2, contraction 0.5, shrink 0.5.  Non-finite losses enter as
     +inf and the simplex contracts away from them.
 
-    Finished instances are compacted out of the working arrays, so each
-    pass only touches still-active starts; every candidate evaluation for
-    a pass happens in at most three batched loss calls.
+    Each pass makes one batched loss call for the reflection points of all
+    active starts, one for the second points that only some starts need
+    (the expansion where the reflection beats the best vertex, the
+    contraction where it does not beat the second-worst), and one for the
+    shrinks.  Every start then gets one write of its new worst vertex and
+    loss.  Finished instances are compacted out of the working arrays, so
+    each pass only touches still-active starts.
     """
     S, d = Z0.shape
     nv = d + 1
@@ -233,7 +239,8 @@ def _nm_lockstep(batch_loss, Z0: np.ndarray, steps: np.ndarray, tol: float, max_
     for i in range(d):
         V[:, i + 1, i] += steps[i]
     idx = np.arange(S)  # original start index per active row
-    iters = np.zeros(S, dtype=np.int64)
+    rows = np.arange(S)[:, None]
+    it = 0  # every active start has made the same number of iterations
 
     z_out = np.empty((S, d))
     f_out = np.full(S, np.inf)
@@ -242,78 +249,57 @@ def _nm_lockstep(batch_loss, Z0: np.ndarray, steps: np.ndarray, tol: float, max_
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         F = batch_loss(V.reshape(S * nv, d)).reshape(S, nv)
-        while F.shape[0]:
-            m = F.shape[0]
-            rows = np.arange(m)[:, None]
+        while idx.size:
             # keep each simplex sorted ascending (stable: ties keep prior order)
             order = np.argsort(F, axis=1, kind="stable")
             F = F[rows, order]
             V = V[rows, order]
 
-            spread = F[:, -1] - F[:, 0]
-            met_tol = spread <= tol  # NaN spread (all-inf simplex) keeps iterating
-            finished = met_tol | (iters >= max_iter)
+            met_tol = F[:, -1] - F[:, 0] <= tol  # NaN spread (all-inf simplex) keeps iterating
+            finished = met_tol | (it >= max_iter)
             if finished.any():
                 sel = idx[finished]
                 z_out[sel] = V[finished, 0]
                 f_out[sel] = F[finished, 0]
-                it_out[sel] = iters[finished]
+                it_out[sel] = it
                 cv_out[sel] = met_tol[finished]
                 keep = ~finished
                 V = V[keep]
                 F = F[keep]
                 idx = idx[keep]
-                iters = iters[keep]
-                if F.shape[0] == 0:
+                rows = rows[: idx.size]
+                if idx.size == 0:
                     break
-            iters += 1
-            m = F.shape[0]
+            it += 1
 
-            cen = V[:, :-1].mean(axis=1)
+            cen = np.add.reduce(V[:, :-1], axis=1) / d  # the mean, without its overhead
             worst = V[:, -1]
             delta = cen - worst
-            # speculative batch: reflection, expansion and contraction points
-            # are evaluated together in one call; unused values are discarded
-            cand = np.empty((3 * m, d))
-            xr = cand[:m]
-            np.add(cen, delta, out=xr)
-            np.add(cen, 2.0 * delta, out=cand[m : 2 * m])
-            np.subtract(cen, 0.5 * delta, out=cand[2 * m :])
-            fcand = batch_loss(cand)
-            fr = fcand[:m]
-            fe = fcand[m : 2 * m]
-            fc = fcand[2 * m :]
-
-            f_best = F[:, 0]
-            f_second = F[:, -2]
-            f_worst = F[:, -1]
-            expand = fr < f_best
-            accept = ~expand & (fr < f_second)
-            contract = ~(expand | accept)
-
-            if accept.any():
-                V[accept, -1] = xr[accept]
-                F[accept, -1] = fr[accept]
-            if expand.any():
-                take_e = expand & (fe < fr)
-                take_r = expand & ~take_e
-                if take_e.any():
-                    V[take_e, -1] = cand[m : 2 * m][take_e]
-                    F[take_e, -1] = fe[take_e]
-                if take_r.any():
-                    V[take_r, -1] = xr[take_r]
-                    F[take_r, -1] = fr[take_r]
+            xr = cen + delta
+            fr = batch_loss(xr)
+            expand = fr < F[:, 0]
+            contract = ~(fr < F[:, -2])
+            # the new worst vertex: the reflection, or for a contracting start
+            # its old worst vertex, unless the second point below beats it
+            xn = np.where(contract[:, None], worst, xr)
+            fn = np.where(contract, F[:, -1], fr)
+            second = np.flatnonzero(expand | contract)
+            if second.size:
+                # expansion cen + 2 delta, or contraction cen - 0.5 delta
+                x2 = cen[second] + np.where(expand[second], 2.0, -0.5)[:, None] * delta[second]
+                f2 = batch_loss(x2)
+                better = f2 < fn[second]
+                moved = second[better]
+                xn[moved] = x2[better]
+                fn[moved] = f2[better]
+                contract[moved] = False  # the contracting starts left over shrink
+            V[:, -1] = xn
+            F[:, -1] = fn
             if contract.any():
-                take_c = contract & (fc < f_worst)
-                if take_c.any():
-                    V[take_c, -1] = cand[2 * m :][take_c]
-                    F[take_c, -1] = fc[take_c]
-                shrink = contract & ~take_c
-                if shrink.any():
-                    best_v = V[shrink, 0][:, None, :]
-                    newv = best_v + 0.5 * (V[shrink, 1:] - best_v)  # (ms, d, d)
-                    V[shrink, 1:] = newv
-                    F[shrink, 1:] = batch_loss(newv.reshape(-1, d)).reshape(-1, d)
+                best_v = V[contract, 0][:, None, :]
+                newv = best_v + 0.5 * (V[contract, 1:] - best_v)  # (ms, d, d)
+                V[contract, 1:] = newv
+                F[contract, 1:] = batch_loss(newv.reshape(-1, d)).reshape(-1, d)
 
     return z_out, f_out, it_out, cv_out
 

@@ -144,6 +144,25 @@ class TestBenchCommand:
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_workers_do_not_change_output(self, capsys, tmp_path):
+        outputs = []
+        for workers in ("1", "2"):
+            target = tmp_path / f"w{workers}.csv"
+            code, stdout, _ = run(
+                capsys, "bench", "--trials", "2", "--seed", "1", "--workers", workers,
+                "--out", str(target),
+            )
+            assert code == 0
+            outputs.append((target.read_bytes(), stdout))
+        assert outputs[0] == outputs[1]
+
+    def test_workers_below_one_exit_one(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "bench", "--workers", "0", "--out", str(out))
+        assert code == 1
+        assert err.splitlines() == ["unifit bench: --workers must be >= 1, got 0"]
+        assert not out.exists()
+
     def test_degraded_exits_three(self, capsys, tmp_path, monkeypatch):
         cell = CellStats(0.5, 0.1, 4)
         degraded = CrossTable(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifit import (
     BUNDLED_DATASETS,
@@ -24,6 +26,7 @@ from unifit import (
     sample_series,
     write_fit,
 )
+from unifit.dataio import FitDocument
 
 
 def series_of(text):
@@ -206,6 +209,99 @@ class TestWriteReadFit:
         bad = tmp_path / "missing_dir" / "fit.json"
         with pytest.raises(OSError, match="missing_dir"):
             write_fit(result, transform, bad)
+
+
+VALID_DOCUMENT = {
+    "model": "maxent",
+    "parameters": {"a": 2.0, "b": 5.0},
+    "amplitude": 1.0,
+    "rms_normalized": 0.01,
+    "rms_original": 0.5,
+    "transform": {"t_min": 0.0, "t_max": 10.0, "y_scale": 50.0},
+    "optimizer": {"starts": 16, "iterations_used": 900, "converged": True},
+    "version": "0.1.0",
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated_document(drops, overrides):
+    """VALID_DOCUMENT with dotted keys dropped or overridden (a key under a
+    parent that is no longer an object is left alone)."""
+    doc = json.loads(json.dumps(VALID_DOCUMENT))
+    edits = [(path, False, value) for path, value in overrides.items()]
+    edits += [(path, True, None) for path in drops]
+    for path, drop, value in edits:
+        *parents, key = path.split(".")
+        target = doc
+        for parent in parents:
+            target = target.get(parent) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if drop:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    return doc
+
+
+_DOCUMENT_KEYS = [
+    "model", "parameters", "parameters.a", "parameters.b", "amplitude", "rms_normalized",
+    "rms_original", "transform", "transform.t_min", "transform.t_max", "transform.y_scale",
+    "optimizer", "optimizer.starts", "optimizer.iterations_used", "optimizer.converged", "version",
+]
+
+
+class TestReadFitMalformed:
+    def test_valid_document_reads(self):
+        doc = read_fit(io.StringIO(json.dumps(VALID_DOCUMENT)))
+        assert doc.model.params.values == (2.0, 5.0)
+        assert doc.starts == 16 and doc.converged is True
+
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ({"model": "maxent"}, "parameters"),
+            ({}, "model"),
+            ({"model": "maxent", "parameters": {"a": 1}}, "parameters.b"),
+            ([1, 2], "JSON object"),
+        ],
+        ids=["no-parameters", "empty", "missing-parameter", "list"],
+    )
+    def test_format_error_names_key(self, document, key):
+        with pytest.raises(SeriesFormatError, match=key):
+            read_fit(io.StringIO(json.dumps(document)))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("amplitude", "1.0"), ("optimizer.converged", 1), ("optimizer.starts", 16.0),
+         ("parameters.a", True), ("transform", [0, 1, 2])],
+    )
+    def test_mistyped_key_is_format_error(self, path, value):
+        with pytest.raises(SeriesFormatError, match=path):
+            read_fit(io.StringIO(json.dumps(_mutated_document((), {path: value}))))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.one_of(
+            st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+            st.builds(
+                _mutated_document,
+                st.sets(st.sampled_from(_DOCUMENT_KEYS), max_size=2),
+                st.dictionaries(st.sampled_from(_DOCUMENT_KEYS), json_values, max_size=2),
+            ),
+        )
+    )
+    def test_json_dicts_read_or_raise_value_error(self, document):
+        try:
+            result = read_fit(io.StringIO(json.dumps(document)))
+        except ValueError:
+            return
+        assert isinstance(result, FitDocument)
 
 
 class TestBundledDatasets:

@@ -14,7 +14,10 @@ from unifit import (
     ParameterBoundsError,
     SampledSeries,
     ShapeParams,
+    bundled_dataset_path,
     fit,
+    load_series,
+    normalize,
     rms_loss,
     sample_series,
 )
@@ -161,6 +164,52 @@ class TestSelfFitRecovery:
     def test_recovery_rate(self, self_fit_rms, kind, threshold):
         values = self_fit_rms[kind]
         assert (values < threshold).mean() >= 0.95
+
+
+def _lockstep_inputs(kind, series):
+    """(batch loss, 16-start pool, simplex steps) as ``fit`` builds them at seed 0."""
+    steps = np.array(
+        [fitting._STEP_FRACTION * fitting._z_width(spec) for spec in FAMILIES[kind].params]
+    )
+    return fitting._make_batch_loss(kind, series), start_pool(kind, 16, 0), steps
+
+
+@pytest.fixture(scope="module")
+def lockstep_series():
+    """The normalized Universe 25 series and one noisy 1001-point series."""
+    universe25 = normalize(load_series(bundled_dataset_path("universe25")))[0]
+    clean = sample_series(CurveModel(ShapeParams(ModelKind.SKEWNORMAL, (0.4, 0.15, 2.0)), 1.0), 1001)
+    noise = np.random.default_rng(7).normal(0.0, 0.03, 1001)
+    noisy = SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
+    return {"universe25": universe25, "noisy1001": noisy}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["universe25", "noisy1001"])
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_batch_makeup_does_not_change_a_trajectory(self, lockstep_series, kind, name):
+        # each start run alone gives the same bits as all 16 run together
+        loss, Z0, steps = _lockstep_inputs(kind, lockstep_series[name])
+        together = fitting._nm_lockstep(loss, Z0, steps, 1e-12, 2000)
+        alone = [fitting._nm_lockstep(loss, Z0[i : i + 1], steps, 1e-12, 2000) for i in range(16)]
+        for k, field in enumerate(("z", "loss", "iterations", "converged")):
+            single = np.concatenate([run[k] for run in alone])
+            assert np.array_equal(together[k], single), field
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_evaluates_at_most_two_rows_per_start_iteration(self, lockstep_series, kind):
+        # reflection always, expansion or contraction only when the
+        # reflection calls for it (shrinks add d rows, rarely)
+        loss, Z0, steps = _lockstep_inputs(kind, lockstep_series["universe25"])
+        rows = []
+
+        def counting_loss(Z):
+            rows.append(Z.shape[0])
+            return loss(Z)
+
+        _, _, iterations, _ = fitting._nm_lockstep(counting_loss, Z0, steps, 1e-12, 2000)
+        simplex_rows = Z0.shape[0] * (Z0.shape[1] + 1)
+        assert (sum(rows) - simplex_rows) / iterations.sum() <= 2.0
 
 
 class TestStartPool:
