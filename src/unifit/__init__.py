@@ -2,7 +2,7 @@
 
 Five peak-normalized model families on the unit interval (two derived
 from the maximum entropy principle, three classical references), a
-multi-start derivative-free least-squares fitter, a numerical entropy
+multi-start Levenberg-Marquardt least-squares fitter, a numerical entropy
 audit, a synthetic cross-fitting benchmark, and CSV/JSON/SVG plumbing
 behind a deterministic CLI.
 """

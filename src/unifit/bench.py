@@ -214,6 +214,8 @@ def cross_compare(config: BenchConfig = BenchConfig(), *, workers: int = 1) -> C
     keyed by (seed, generator, trial), so the table is identical to a
     sequential run.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n_kinds = len(KIND_ORDER)
     tasks = [(g, trial) for g in range(n_kinds) for trial in range(config.trials_per_cell)]
     if workers > 1:

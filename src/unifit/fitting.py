@@ -1,30 +1,33 @@
-"""Derivative-free nonlinear least-squares fitting of the model families.
+"""Nonlinear least-squares fitting of the model families.
 
-The optimizer is a Nelder-Mead simplex run in unconstrained coordinates:
-positive parameters go through a log transform, lower-bounded ones
-through a shifted log, free ones are identity-mapped, so in exact
-arithmetic every point the simplex can reach maps to valid shape
-parameters (in float64 the map can round onto a bound or overflow; ``fit``
-then raises ``FitFailureError``).  The amplitude is
+The optimizer is Levenberg-Marquardt with analytic derivatives, run in
+unconstrained coordinates: positive parameters go through a log
+transform, lower-bounded ones through a shifted log, free ones are
+identity-mapped, so in exact arithmetic every point a step can reach maps
+to valid shape parameters (in float64 the map can round onto a bound or
+overflow; ``fit`` then raises ``FitFailureError``).  The amplitude is
 profiled out analytically at every loss evaluation (closed-form 1-D
 least squares against the unit-peak shape), which drops the search to at
-most three dimensions.
+most three dimensions; the remaining separable problem is solved by
+variable projection (Golub & Pereyra 1973): Gauss-Newton steps on the
+projected residual, with Marquardt damping.
 
 Multi-start: initial points come from a seeded Latin hypercube over the
 per-family start ranges in ``models.FAMILIES``.  The pool is built in
 blocks of 16 (the default start count), so the pool for ``starts=k`` is
 a prefix of the pool for any larger count with the same seed.  All
-starts advance in lockstep.  Each pass evaluates the reflection points of
-all starts in one batched loss call, then, in a second call, only the
-expansion or contraction points that the reflections call for; shrinks
-take a third.  A row's loss does not depend on which rows share its
-batch, so each start's trajectory is identical to running it alone.
+starts advance in lockstep: each pass scores the trial steps of all
+active starts in one batched loss call and rebuilds the normal equations
+of the starts whose step was accepted in one more.  A row's result does
+not depend on which rows share its batch, so each start's trajectory is
+identical to running it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +58,9 @@ __all__ = [
 _START_TAG = 0x5354  # "ST"
 _START_BLOCK = 16
 
+#: Most Levenberg-Marquardt passes a start makes (see ``FitConfig``).
+_MAX_PASSES = 200
+
 
 class FitFailureError(RuntimeError):
     """Every start diverged to a non-finite loss, the best point is not
@@ -68,7 +74,16 @@ class FitFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings; defaults are sized for 101-point series."""
+    """Optimizer settings; defaults are sized for 101-point series.
+
+    ``max_iterations`` caps the Levenberg-Marquardt passes (one trial step
+    each) of every start, and no start makes more than 200 whatever its
+    value: later passes only lengthen crawls along unidentifiable ridges,
+    where no start converges.  A start converges when an accepted step
+    lowers its rms by at most ``simplex_tolerance`` (an absolute amount),
+    or when its damping grows so large that no step of useful length
+    lowers the loss.
+    """
 
     starts: int = 16
     max_iterations: int = 2000
@@ -91,8 +106,8 @@ class FitResult:
     """Best fit plus per-start diagnostics.
 
     ``rms`` always equals ``min(start_losses)``; ``iterations_used`` is
-    the total across starts and ``converged`` reports whether the winning
-    start met the simplex tolerance within its iteration budget.
+    the total of passes across starts and ``converged`` reports whether
+    the winning start converged within its pass budget.
     """
 
     model: CurveModel
@@ -100,19 +115,6 @@ class FitResult:
     start_losses: tuple[float, ...]
     iterations_used: int
     converged: bool
-
-
-# Initial simplex edge per coordinate: a fixed fraction of the start box
-# width in unconstrained coordinates.
-_STEP_FRACTION = 0.08
-
-
-def _z_width(spec: Param) -> float:
-    if spec.constraint == "free":
-        return spec.hi - spec.lo
-    # width of log(theta - bound) over the sampling range
-    shift = 0.0 if spec.shifted else spec.bound
-    return math.log(spec.hi - shift) - math.log(spec.lo - shift)
 
 
 def _theta_from_unit(spec: Param, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -166,6 +168,18 @@ def rms_loss(observed: SampledSeries, model: CurveModel) -> float:
     return math.sqrt(float((r * r).sum()) / r.size)
 
 
+@lru_cache(maxsize=None)
+def _z_columns(kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
+    """(free-column mask, bound per column) of the map from z to theta:
+    bound + exp(z), or z itself in the free columns."""
+    specs = FAMILIES[kind].params
+    free = np.array([spec.constraint == "free" for spec in specs])
+    offsets = np.array([0.0 if spec.constraint == "free" else spec.bound for spec in specs])
+    free.setflags(write=False)
+    offsets.setflags(write=False)
+    return free, offsets
+
+
 def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     """Vectorized profiled-amplitude rms loss: (m, d) z-matrix -> (m,).
 
@@ -176,10 +190,7 @@ def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     ys = observed.ys
     n = ys.size
     family = FAMILIES[kind]
-    # z -> theta: bound + exp(z), or z itself in the free columns
-    specs = family.params
-    free = np.array([spec.constraint == "free" for spec in specs])
-    offsets = np.array([0.0 if spec.constraint == "free" else spec.bound for spec in specs])
+    free, offsets = _z_columns(kind)
 
     def batch_rms(Z: np.ndarray) -> np.ndarray:
         # caller holds an errstate that silences the expected warnings
@@ -217,89 +228,169 @@ def _profiled_amplitude(observed: SampledSeries, params: ShapeParams) -> float:
     return amp_grid * math.exp(_log_peak(params) - peak_grid)
 
 
-def _nm_lockstep(batch_loss, Z0: np.ndarray, steps: np.ndarray, tol: float, max_iter: int):
-    """Advance independent Nelder-Mead instances in lockstep.
+def _shape_and_partials(kind: ModelKind, Z: np.ndarray, grid: EvalGrid):
+    """Grid-max-normalized shapes s (m, n) and their partials ds/dz
+    (m, d, n) for a (m, d) z-matrix; ds is 0 wherever s is exactly 0."""
+    family = FAMILIES[kind]
+    free, offsets = _z_columns(kind)
+    dtheta = np.exp(Z)  # dtheta/dz: exp(z), or 1 in the free columns
+    theta = dtheta + offsets
+    np.copyto(theta, Z, where=free)
+    np.copyto(dtheta, 1.0, where=free)
+    cols = theta.T[:, :, None]
+    ls = family.kernel(*cols, grid)
+    ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
+    s = np.exp(ls, out=ls)
+    ds = np.empty(Z.shape + s.shape[1:])
+    for j, dls in enumerate(family.partials(*cols, grid)):
+        np.multiply(s, dls, out=ds[:, j])
+        ds[:, j] *= dtheta[:, j, None]
+    # s * dls is 0 * inf (NaN) at an endpoint where the shape vanishes
+    np.copyto(ds, 0.0, where=(s == 0.0)[:, None, :])
+    return s, ds
 
-    Returns (best z per start, best loss, iterations, converged flags),
-    ordered by start index.  Standard coefficients: reflection 1,
-    expansion 2, contraction 0.5, shrink 0.5.  Non-finite losses enter as
-    +inf and the simplex contracts away from them.
 
-    Each pass makes one batched loss call for the reflection points of all
-    active starts, one for the second points that only some starts need
-    (the expansion where the reflection beats the best vertex, the
-    contraction where it does not beat the second-worst), and one for the
-    shrinks.  Every start then gets one write of its new worst vertex and
-    loss.  Finished instances are compacted out of the working arrays, so
-    each pass only touches still-active starts.
+def _make_normal_equations(kind: ModelKind, observed: SampledSeries):
+    """Gauss-Newton normal equations of the profiled mean square residual:
+    (k, d) z-matrix -> (J^T J / n (k, d, d), J^T r / n (k, d)).
+
+    With the amplitude A = <s, y> / <s, s> profiled out, the residual is
+    r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
+    column j is (Golub & Pereyra 1973) -A P ds_j - s <ds_j, r> / <s, s>.
+    Scaling s by its grid maximum adds a multiple of s to ds_j, which P
+    and <., r> both remove.  All reductions are np.add.reduce along rows,
+    so each row's result does not depend on which rows share the batch.
+    """
+    grid = EvalGrid(observed.xs)
+    ys = observed.ys
+    n = ys.size
+
+    def normal_equations(Z: np.ndarray):
+        s, ds = _shape_and_partials(kind, Z, grid)
+        ss = np.add.reduce(s * s, axis=1)
+        amp = np.add.reduce(s * ys, axis=1) / ss
+        np.maximum(amp, 0.0, out=amp)  # as the loss clamps it
+        r = ys - amp[:, None] * s
+        sds = np.add.reduce(ds * s[:, None, :], axis=2)
+        rds = np.add.reduce(ds * r[:, None, :], axis=2)
+        # J_j = -A ds_j + s (A <s, ds_j> - <ds_j, r>) / <s, s>, built in ds
+        ds *= -amp[:, None, None]
+        ds += ((amp[:, None] * sds - rds) / ss[:, None])[:, :, None] * s[:, None, :]
+        jtj = np.add.reduce(ds[:, :, None, :] * ds[:, None, :, :], axis=3)
+        jtr = np.add.reduce(ds * r[:, None, :], axis=2)
+        jtj /= n
+        jtr /= n
+        return jtj, jtr
+
+    return normal_equations
+
+
+def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for a stack of small systems.
+
+    The stacked LAPACK call solves each matrix on its own, so a row's
+    solution does not depend on the others; a singular matrix makes it
+    raise for the whole stack, so the rows are then solved one at a time,
+    a singular one by least squares (the minimum-norm solution).
+    """
+    try:
+        return np.linalg.solve(M, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for i in range(b.shape[0]):
+            try:
+                out[i] = np.linalg.solve(M[i], b[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(M[i], b[i], rcond=None)[0]
+        return out
+
+
+# Marquardt damping: lambda starts at _LAMBDA0; after each trial step it is
+# divided by _LAMBDA_STEP when the gain ratio (actual over predicted fall
+# of the mean square) exceeds _GAIN_HIGH and multiplied by it when the
+# ratio is below _GAIN_LOW (a rejected step has a ratio <= 0).  Past
+# _LAMBDA_MAX no step of useful length lowers the loss.
+_LAMBDA0 = 1e-3
+_LAMBDA_STEP = 10.0
+_LAMBDA_MAX = 1e10
+_GAIN_LOW = 0.25
+_GAIN_HIGH = 0.75
+
+
+def _finite_rows(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.isfinite(A).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
+
+
+def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_iter: int):
+    """Advance independent Levenberg-Marquardt runs in lockstep.
+
+    Returns (best z per start, best loss, passes, converged flags),
+    ordered by start index.  Each pass solves every active start's damped
+    normal equations (J^T J + lambda D) dz = -J^T r, D the running maximum
+    of diag(J^T J) (Moré 1978; a column that fades along the path keeps
+    its damping), scores all trial points in one batched loss call, and
+    rebuilds the normal equations only for the starts whose step was
+    accepted (it lowered the loss).  A start converges when an accepted
+    step lowers its rms by at most ``tol`` or when lambda passes
+    _LAMBDA_MAX; it stops unconverged after ``max_iter`` passes, or at
+    once where its loss or normal equations are not finite.  Finished
+    starts are compacted out of the working arrays.
     """
     S, d = Z0.shape
-    nv = d + 1
-    V = np.repeat(Z0[:, None, :], nv, axis=1)  # (m, nv, d), m = active starts
-    for i in range(d):
-        V[:, i + 1, i] += steps[i]
-    idx = np.arange(S)  # original start index per active row
-    rows = np.arange(S)[:, None]
-    it = 0  # every active start has made the same number of iterations
-
-    z_out = np.empty((S, d))
+    diag = np.arange(d)
+    z_out = Z0.copy()
     f_out = np.full(S, np.inf)
     it_out = np.zeros(S, dtype=np.int64)
     cv_out = np.zeros(S, dtype=bool)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        F = batch_loss(V.reshape(S * nv, d)).reshape(S, nv)
-        while idx.size:
-            # keep each simplex sorted ascending (stable: ties keep prior order)
-            order = np.argsort(F, axis=1, kind="stable")
-            F = F[rows, order]
-            V = V[rows, order]
-
-            met_tol = F[:, -1] - F[:, 0] <= tol  # NaN spread (all-inf simplex) keeps iterating
-            finished = met_tol | (it >= max_iter)
-            if finished.any():
-                sel = idx[finished]
-                z_out[sel] = V[finished, 0]
-                f_out[sel] = F[finished, 0]
+        Z = Z0.copy()
+        F = batch_loss(Z)
+        A, g = normal_equations(Z)
+        D = A[:, diag, diag]
+        lam = np.full(S, _LAMBDA0)
+        idx = np.arange(S)  # original start index per active row
+        it = 0  # every active start has made the same number of passes
+        converged = np.zeros(S, dtype=bool)
+        done = ~(np.isfinite(F) & _finite_rows(A, g))
+        while True:
+            if it >= max_iter:
+                done[:] = True
+            if done.any():
+                sel = idx[done]
+                z_out[sel] = Z[done]
+                f_out[sel] = F[done]
                 it_out[sel] = it
-                cv_out[sel] = met_tol[finished]
-                keep = ~finished
-                V = V[keep]
-                F = F[keep]
-                idx = idx[keep]
-                rows = rows[: idx.size]
+                cv_out[sel] = converged[done]
+                keep = ~done
+                Z, F, A, g, D, lam, idx = (
+                    Z[keep], F[keep], A[keep], g[keep], D[keep], lam[keep], idx[keep]
+                )
                 if idx.size == 0:
                     break
             it += 1
 
-            cen = np.add.reduce(V[:, :-1], axis=1) / d  # the mean, without its overhead
-            worst = V[:, -1]
-            delta = cen - worst
-            xr = cen + delta
-            fr = batch_loss(xr)
-            expand = fr < F[:, 0]
-            contract = ~(fr < F[:, -2])
-            # the new worst vertex: the reflection, or for a contracting start
-            # its old worst vertex, unless the second point below beats it
-            xn = np.where(contract[:, None], worst, xr)
-            fn = np.where(contract, F[:, -1], fr)
-            second = np.flatnonzero(expand | contract)
-            if second.size:
-                # expansion cen + 2 delta, or contraction cen - 0.5 delta
-                x2 = cen[second] + np.where(expand[second], 2.0, -0.5)[:, None] * delta[second]
-                f2 = batch_loss(x2)
-                better = f2 < fn[second]
-                moved = second[better]
-                xn[moved] = x2[better]
-                fn[moved] = f2[better]
-                contract[moved] = False  # the contracting starts left over shrink
-            V[:, -1] = xn
-            F[:, -1] = fn
-            if contract.any():
-                best_v = V[contract, 0][:, None, :]
-                newv = best_v + 0.5 * (V[contract, 1:] - best_v)  # (ms, d, d)
-                V[contract, 1:] = newv
-                F[contract, 1:] = batch_loss(newv.reshape(-1, d)).reshape(-1, d)
+            M = A.copy()
+            M[:, diag, diag] += lam[:, None] * D
+            dz = _solve_rows(M, -g)
+            Zt = Z + dz
+            Ft = batch_loss(Zt)
+            accept = Ft < F
+            converged = accept & (F - Ft <= tol)
+            # predicted fall of the mean square: lambda dz^T D dz - dz^T J^T r / n
+            predicted = np.add.reduce(dz * (lam[:, None] * D * dz - g), axis=1)
+            gain = (F * F - Ft * Ft) / predicted
+            lam[gain > _GAIN_HIGH] /= _LAMBDA_STEP
+            lam[~(gain >= _GAIN_LOW)] *= _LAMBDA_STEP  # NaN: a zero or non-finite step
+            converged |= lam > _LAMBDA_MAX
+            Z[accept] = Zt[accept]
+            F[accept] = Ft[accept]
+            done = converged.copy()
+            step = np.flatnonzero(accept & ~converged)
+            if step.size:
+                A[step], g[step] = normal_equations(Z[step])
+                D[step] = np.maximum(D[step], A[step][:, diag, diag])
+                done[step] = ~_finite_rows(A[step], g[step])
 
     return z_out, f_out, it_out, cv_out
 
@@ -328,11 +419,12 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         )
 
     specs = FAMILIES[kind].params
-    steps = np.array([_STEP_FRACTION * _z_width(spec) for spec in specs])
-    batch_loss = _make_batch_loss(kind, observed)
-    Z0 = start_pool(kind, config.starts, config.seed)
-    zb, fb, iters, conv = _nm_lockstep(
-        batch_loss, Z0, steps, config.simplex_tolerance, config.max_iterations
+    zb, fb, iters, conv = _lm_lockstep(
+        _make_batch_loss(kind, observed),
+        _make_normal_equations(kind, observed),
+        start_pool(kind, config.starts, config.seed),
+        config.simplex_tolerance,
+        min(config.max_iterations, _MAX_PASSES),
     )
 
     best = int(np.argmin(fb))  # exact ties resolve to the lowest start index

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 __all__ = [
     "ParameterBoundsError",
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _SQRT1_2 = math.sqrt(0.5)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -237,6 +238,43 @@ def _ls_gengamma(alpha, d, p, grid: EvalGrid):
     return (d - 1.0) * grid.log_x - np.exp(p * (grid.log_x - np.log(alpha)))
 
 
+# --- partials of the log shape -------------------------------------------
+#
+# d log s / d theta_j for every shape parameter, broadcasting like the
+# kernels.  Entries may be infinite or NaN where the shape is exactly zero
+# (an endpoint); callers multiply by s and zero those points.
+
+def _dls_maxent(a, b, grid: EvalGrid):
+    return -grid.inv_x, -grid.inv_omx
+
+
+def _dls_beta(a, b, grid: EvalGrid):
+    return grid.log_x, grid.log_omx
+
+
+def _dls_richards(k, t0, nu, grid: EvalGrid):
+    u = -k * (grid.xs - t0)
+    w = np.log(nu) + u
+    big = np.logaddexp(0.0, w)  # log(1 + nu e^u)
+    sig = np.exp(w - big)  # nu e^u / (1 + nu e^u)
+    du = 1.0 - (1.0 + 1.0 / nu) * sig  # d log s / d u
+    return 1.0 / k + (u / k) * du, k * du, (big / nu - (1.0 + 1.0 / nu) * sig) / nu
+
+
+def _dls_skewnormal(xi, omega, alpha, grid: EvalGrid):
+    z = (grid.xs - xi) / omega
+    # inverse Mills ratio phi(t) / Phi(t) at t = alpha z, without underflow
+    mills = _SQRT_2_OVER_PI / erfcx(-alpha * z * _SQRT1_2)
+    dz = alpha * mills - z  # d log s / d z
+    return -dz / omega, -dz * z / omega, z * mills
+
+
+def _dls_gengamma(alpha, d, p, grid: EvalGrid):
+    t = grid.log_x - np.log(alpha)
+    e = np.exp(p * t)  # (x / alpha)**p
+    return e * (p / alpha), grid.log_x, -e * t
+
+
 def _mode_maxent(a, b):
     sa, sb = math.sqrt(a), math.sqrt(b)
     return sa / (sa + sb)
@@ -249,7 +287,10 @@ def _mode_beta(a, b):
 
 
 def _mode_gengamma(alpha, d, p):
-    return min(1.0, alpha * ((d - 1.0) / p) ** (1.0 / p))
+    try:
+        return min(1.0, alpha * ((d - 1.0) / p) ** (1.0 / p))
+    except OverflowError:  # the power overflows; the product still may not
+        return math.exp(min(0.0, math.log(alpha) + math.log((d - 1.0) / p) / p))
 
 
 # --- the family registry ----------------------------------------------------
@@ -288,7 +329,9 @@ class Param:
 class Family:
     """Everything the package knows about one model family.
 
-    ``mode`` is the analytic peak location (None: numeric argmax);
+    ``partials`` gives d log s / d theta_j for each parameter, broadcasting
+    like ``kernel``; ``mode`` is the analytic peak location (None: numeric
+    argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
     audit's constraint integrals (None: the family is not audited).
     """
@@ -296,6 +339,7 @@ class Family:
     display_name: str
     color: str
     kernel: Callable
+    partials: Callable
     description: str
     params: tuple[Param, ...]
     mode: Callable[..., float] | None = None
@@ -310,7 +354,7 @@ class Family:
 # matters is that the unconstrained map reaches every generated value.
 FAMILIES: dict[ModelKind, Family] = {
     ModelKind.RICHARDS: Family(
-        "Richards", "#1f77b4", _ls_richards,
+        "Richards", "#1f77b4", _ls_richards, _dls_richards,
         "derivative of the Richards (generalized logistic) growth curve; "
         "k > 0 rate, t0 peak location (free), nu > 0 asymmetry",
         (Param("k", "pos", 2.0, 100.0, (2.0, 100.0), True),
@@ -318,7 +362,7 @@ FAMILIES: dict[ModelKind, Family] = {
          Param("nu", "pos", 0.1, 10.0, (0.1, 10.0), True)),
     ),
     ModelKind.SKEWNORMAL: Family(
-        "Skewnormal", "#9467bd", _ls_skewnormal,
+        "Skewnormal", "#9467bd", _ls_skewnormal, _dls_skewnormal,
         "skew-normal density restricted to [0, 1]; xi location (free), "
         "omega > 0 scale, alpha skewness (free)",
         (Param("xi", "free", 0.0, 1.0, (0.0, 1.0), False),
@@ -326,7 +370,7 @@ FAMILIES: dict[ModelKind, Family] = {
          Param("alpha", "free", -20.0, 20.0, (-2.5, 2.5), False)),
     ),
     ModelKind.GENGAMMA: Family(
-        "GenGamma", "#2ca02c", _ls_gengamma,
+        "GenGamma", "#2ca02c", _ls_gengamma, _dls_gengamma,
         "generalized gamma kernel x^(d-1) exp(-(x/alpha)^p); alpha > 0 "
         "scale, d > 1 shape (interior peak), p > 0 power",
         (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
@@ -335,7 +379,7 @@ FAMILIES: dict[ModelKind, Family] = {
         mode=_mode_gengamma,
     ),
     ModelKind.MAXENT: Family(
-        "MaxEnt", "#d62728", _ls_maxent,
+        "MaxEnt", "#d62728", _ls_maxent, _dls_maxent,
         "maximum entropy shape exp(-a/x - b/(1-x)); a, b > 0; vanishes at "
         "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))",
         (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
@@ -343,7 +387,7 @@ FAMILIES: dict[ModelKind, Family] = {
         mode=_mode_maxent, weights=("inv_x", "inv_omx"),
     ),
     ModelKind.BETA: Family(
-        "Beta", "#ff7f0e", _ls_beta,
+        "Beta", "#ff7f0e", _ls_beta, _dls_beta,
         "beta kernel x^(a-1) (1-x)^(b-1); a, b >= 1; maximum entropy shape "
         "under logarithmic boundary weights",
         (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),

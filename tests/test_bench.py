@@ -120,6 +120,12 @@ class TestCrossCompare:
             ]
             assert table.cells[f][g].mean_rms == pytest.approx(float(np.mean(worst)))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = BenchConfig(trials_per_cell=1, seed=1, fit=FitConfig(seed=1))
+        with pytest.raises(ValueError, match=f"got {workers}"):
+            cross_compare(cfg, workers=workers)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(trials_per_cell=0)

@@ -23,7 +23,7 @@ from unifit import (
 )
 import unifit.fitting as fitting
 from unifit.fitting import start_pool
-from unifit.models import FAMILIES
+from unifit.models import FAMILIES, EvalGrid
 
 
 def maxent_series(a, b, n=101):
@@ -115,6 +115,15 @@ class TestFit:
             # reconstructing the params re-runs the family bound checks
             ShapeParams(kind, result.model.params.values)
 
+    def test_passes_capped_at_200(self):
+        # some Universe 25 skewnormal starts crawl along a ridge to the cap
+        series = normalize(load_series(bundled_dataset_path("universe25")))[0]
+        capped = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=200))
+        wider = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=5000))
+        tighter = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=199))
+        assert wider == capped
+        assert tighter.iterations_used < capped.iterations_used
+
     def test_flat_series_unrepresentable_optimum_is_fit_failure(self):
         # the optimizer drives gengamma's d toward 1, where 1 + exp(z)
         # rounds to exactly 1.0 and leaves the family's bounds
@@ -167,11 +176,12 @@ class TestSelfFitRecovery:
 
 
 def _lockstep_inputs(kind, series):
-    """(batch loss, 16-start pool, simplex steps) as ``fit`` builds them at seed 0."""
-    steps = np.array(
-        [fitting._STEP_FRACTION * fitting._z_width(spec) for spec in FAMILIES[kind].params]
+    """(batch loss, normal equations, 16-start pool) as ``fit`` builds them at seed 0."""
+    return (
+        fitting._make_batch_loss(kind, series),
+        fitting._make_normal_equations(kind, series),
+        start_pool(kind, 16, 0),
     )
-    return fitting._make_batch_loss(kind, series), start_pool(kind, 16, 0), steps
 
 
 @pytest.fixture(scope="module")
@@ -189,27 +199,106 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     def test_batch_makeup_does_not_change_a_trajectory(self, lockstep_series, kind, name):
         # each start run alone gives the same bits as all 16 run together
-        loss, Z0, steps = _lockstep_inputs(kind, lockstep_series[name])
-        together = fitting._nm_lockstep(loss, Z0, steps, 1e-12, 2000)
-        alone = [fitting._nm_lockstep(loss, Z0[i : i + 1], steps, 1e-12, 2000) for i in range(16)]
+        loss, normal, Z0 = _lockstep_inputs(kind, lockstep_series[name])
+        together = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
+        alone = [fitting._lm_lockstep(loss, normal, Z0[i : i + 1], 1e-12, 200) for i in range(16)]
         for k, field in enumerate(("z", "loss", "iterations", "converged")):
             single = np.concatenate([run[k] for run in alone])
             assert np.array_equal(together[k], single), field
 
     @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     def test_evaluates_at_most_two_rows_per_start_iteration(self, lockstep_series, kind):
-        # reflection always, expansion or contraction only when the
-        # reflection calls for it (shrinks add d rows, rarely)
-        loss, Z0, steps = _lockstep_inputs(kind, lockstep_series["universe25"])
-        rows = []
+        # each pass: one loss row per active start, plus a normal-equation
+        # row only for the starts whose trial step was accepted
+        loss, normal, Z0 = _lockstep_inputs(kind, lockstep_series["universe25"])
+        calls = []
 
-        def counting_loss(Z):
-            rows.append(Z.shape[0])
-            return loss(Z)
+        def logged_loss(Z):
+            out = loss(Z)
+            calls.append(("loss", Z.copy(), out.copy()))
+            return out
 
-        _, _, iterations, _ = fitting._nm_lockstep(counting_loss, Z0, steps, 1e-12, 2000)
-        simplex_rows = Z0.shape[0] * (Z0.shape[1] + 1)
-        assert (sum(rows) - simplex_rows) / iterations.sum() <= 2.0
+        def logged_normal(Z):
+            calls.append(("normal", Z.copy(), None))
+            return normal(Z)
+
+        _, _, passes, _ = fitting._lm_lockstep(logged_loss, logged_normal, Z0, 1e-12, 200)
+        # one loss row and one normal-equation row per starting point
+        assert [(c[0], c[1].shape[0]) for c in calls[:2]] == [("loss", 16), ("normal", 16)]
+        best = calls[0][2].copy()
+        k = 0
+        for i, (what, Z, out) in enumerate(calls[2:], start=2):
+            if what == "normal":
+                continue
+            # pass k scores one trial row per start still active, in start order
+            k += 1
+            starts = np.flatnonzero(passes >= k)
+            assert Z.shape[0] == starts.size
+            accepted = out < best[starts]
+            best[starts[accepted]] = out[accepted]
+            # normal equations at accepted trial points only, and at the
+            # accepted point of every start that goes on
+            after = calls[i + 1] if i + 1 < len(calls) else ("end", np.empty((0, Z.shape[1])))
+            rebuilt = after[1] if after[0] == "normal" else np.empty((0, Z.shape[1]))
+            assert all((Z[accepted] == row).all(axis=1).any() for row in rebuilt)
+            going_on = Z[accepted & (passes[starts] > k)]
+            assert all((rebuilt == row).all(axis=1).any() for row in going_on)
+        assert k == passes.max()
+        assert sum(c[1].shape[0] for c in calls[2:] if c[0] == "loss") == passes.sum()
+
+    def test_singular_row_does_not_stop_the_others(self, lockstep_series):
+        # start 3's normal equations are all zeros, so its damped matrix is
+        # singular; the other starts must run exactly as without it
+        kind = ModelKind.SKEWNORMAL
+        loss, normal, Z0 = _lockstep_inputs(kind, lockstep_series["universe25"])
+        poison = Z0[3].copy()
+
+        def singular_normal(Z):
+            A, g = normal(Z)
+            hit = (Z == poison).all(axis=1)
+            A[hit] = 0.0
+            g[hit] = 0.0
+            return A, g
+
+        together = fitting._lm_lockstep(loss, singular_normal, Z0, 1e-12, 200)
+        clean = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
+        others = np.arange(16) != 3
+        for k, field in enumerate(("z", "loss", "iterations", "converged")):
+            assert np.array_equal(together[k][others], clean[k][others]), field
+        assert clean[2][others].max() > 1  # the others did take steps
+        # the singular start takes the minimum-norm (zero) step: it cannot
+        # move, its damping grows past the ceiling and it stops in place
+        np.testing.assert_array_equal(together[0][3], poison)
+
+
+class TestPartials:
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_match_central_differences(self, kind):
+        # ds/dz from the analytic partials against central differences of
+        # the kernel at seeded in-range points, on a grid with both endpoints
+        grid = EvalGrid(np.linspace(0.0, 1.0, 41))
+        specs = FAMILIES[kind].params
+        Z = start_pool(kind, 8, seed=17)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s, ds = fitting._shape_and_partials(kind, Z, grid)
+
+            def log_shape(z):
+                theta = [fitting._theta_from_z(spec, v) for spec, v in zip(specs, z)]
+                return FAMILIES[kind].kernel(*theta, grid)
+
+            for i, z in enumerate(Z):
+                peak = log_shape(z).max()  # the normalization of s at z
+                for j in range(len(specs)):
+                    h = np.zeros(len(specs))
+                    h[j] = 1e-5
+                    fd = (np.exp(log_shape(z + h) - peak) - np.exp(log_shape(z - h) - peak)) / 2e-5
+                    assert np.abs(ds[i, j] - fd).max() <= 1e-6 * np.abs(ds[i, j]).max(), (i, j)
+        assert np.isfinite(ds).all()
+        # exactly zero where the shape vanishes at an endpoint
+        ends = {ModelKind.MAXENT: [0, -1], ModelKind.BETA: [0, -1], ModelKind.GENGAMMA: [0]}
+        ends = ends.get(kind, [])
+        assert (s[:, ends] == 0.0).all()
+        assert (ds[:, :, ends] == 0.0).all()
 
 
 class TestStartPool:

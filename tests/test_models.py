@@ -93,6 +93,20 @@ class TestMode:
         m = 0.5 * math.sqrt(2.0 / 2.0)
         assert mode(params) == pytest.approx(m, abs=1e-12)
 
+    def test_gengamma_overflowing_power_clamps_to_one(self):
+        # ((d - 1) / p) ** (1 / p) overflows a float; the mode is far past 1
+        params = ShapeParams(ModelKind.GENGAMMA, (0.5, 1000.0, 0.01))
+        assert mode(params) == 1.0
+        values = evaluate_on(CurveModel(params, 1.0), np.array([0.5, 1.0]))
+        assert values[1] == 1.0 and 0.0 <= values[0] < 1.0
+
+    def test_gengamma_overflowing_power_interior_mode(self):
+        # the power overflows but a subnormal alpha brings the product below 1
+        params = ShapeParams(ModelKind.GENGAMMA, (1e-320, 1e30, 0.1))
+        expected = math.exp(math.log(1e-320) + math.log(1e30 / 0.1) / 0.1)
+        assert 0.0 < expected < 1.0
+        assert mode(params) == pytest.approx(expected, rel=1e-9)
+
     @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     def test_mode_agreement_with_dense_argmax(self, kind):
         # numeric argmax of evaluate on a 1e5 grid within 2e-5 of mode()
