@@ -1,6 +1,6 @@
 """Command-line interface: fit, bench, audit and list-models.
 
-Exit codes: 0 success, 1 usage or input parse error, 2 fit failure,
+Exit codes: 0 success, 1 usage, input or output error, 2 fit failure,
 3 degraded benchmark (some cell failed in more than half its trials),
 4 entropy audit failure.  All commands are end-to-end deterministic for
 identical flags and inputs.
@@ -168,10 +168,17 @@ def _run_fit(args) -> int:
     if args.plot is not None and fitted:
         from .plotting import render_plot
 
-        curves = [
-            (kind, denormalize_fit(result, transform, _PLOT_GRID))
-            for kind, result in fitted
-        ]
+        curves = []
+        for kind, result in fitted:
+            try:
+                curves.append((kind, denormalize_fit(result, transform, _PLOT_GRID)))
+            except ValueError as exc:
+                print(
+                    f"unifit fit: cannot plot {kind.value}: the fitted curve is not "
+                    f"finite in original units ({exc})",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
         try:
             render_plot(raw, curves, args.plot)
         except OSError as exc:

@@ -135,14 +135,17 @@ def load_series(source) -> RawSeries:
     Rows are sorted by time; duplicate times, unparseable rows and tables
     with fewer than 3 rows are rejected.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+        elif isinstance(source, bytes):
+            text = source.decode("utf-8")
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"input is not UTF-8 text: {exc}") from exc
 
     rows = _parse_rows(text)
     if len(rows) < 3:
@@ -171,14 +174,22 @@ def normalize(raw: RawSeries, padding: float = 0.02) -> tuple[SampledSeries, Dom
     t_first = float(raw.times[0])
     t_last = float(raw.times[-1])
     pad_t = padding * (t_last - t_first) / (1.0 - 2.0 * padding)
-    transform = DomainTransform(t_first - pad_t, t_last + pad_t, y_scale)
+    t_min, t_max = t_first - pad_t, t_last + pad_t
+    if not math.isfinite(t_max - t_min):
+        raise ValueError(
+            f"time span [{t_first!r}, {t_last!r}], padded to "
+            f"[{t_min!r}, {t_max!r}], overflows float64"
+        )
+    transform = DomainTransform(t_min, t_max, y_scale)
     xs = transform.to_unit_time(raw.times)
     return SampledSeries(np.clip(xs, 0.0, 1.0), raw.values / y_scale), transform
 
 
 def denormalize_series(series: SampledSeries, transform: DomainTransform) -> RawSeries:
-    """Map a unit-domain series back to original units."""
-    return RawSeries(transform.from_unit_time(series.xs), series.ys * transform.y_scale)
+    """Map a unit-domain series back to original units; ``ValueError`` when
+    a value overflows there."""
+    with np.errstate(over="ignore"):  # RawSeries rejects the overflow
+        return RawSeries(transform.from_unit_time(series.xs), series.ys * transform.y_scale)
 
 
 def denormalize_fit(result: FitResult, transform: DomainTransform, grid_size: int) -> RawSeries:

@@ -17,10 +17,12 @@ per-family start ranges in ``models.FAMILIES``.  The pool is built in
 blocks of 16 (the default start count), so the pool for ``starts=k`` is
 a prefix of the pool for any larger count with the same seed.  All
 starts advance in lockstep: each pass scores the trial steps of all
-active starts in one batched loss call and rebuilds the normal equations
-of the starts whose step was accepted in one more.  A row's result does
-not depend on which rows share its batch, so each start's trajectory is
-identical to running it alone.
+active starts in one batched loss call, which also returns the shapes it
+evaluated, and rebuilds the normal equations of the starts whose step was
+accepted from those shapes, adding only their partial derivatives: the
+family kernel runs once per trial point.  A row's result does not depend
+on which rows share its batch, so each start's trajectory is identical to
+running it alone.
 """
 
 from __future__ import annotations
@@ -180,8 +182,26 @@ def _z_columns(kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
     return free, offsets
 
 
+def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, exp(z)) for a (m, d) z-matrix; exp(z) is dtheta/dz outside
+    the free columns."""
+    free, offsets = _z_columns(kind)
+    ez = np.exp(Z)
+    theta = ez + offsets
+    np.copyto(theta, Z, where=free)
+    return theta, ez
+
+
+def _shapes(kind: ModelKind, Z: np.ndarray, grid: EvalGrid) -> np.ndarray:
+    """Grid-max-normalized shapes (m, n) at a (m, d) z-matrix."""
+    ls = FAMILIES[kind].kernel(*_theta_rows(kind, Z)[0].T[:, :, None], grid)
+    ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
+    return np.exp(ls, out=ls)
+
+
 def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
-    """Vectorized profiled-amplitude rms loss: (m, d) z-matrix -> (m,).
+    """Vectorized profiled-amplitude rms loss: (m, d) z-matrix -> (rms (m,),
+    grid-max-normalized shapes s (m, n)); the normal equations reuse s.
 
     Row reductions use np.add.reduce along the rows (not BLAS) so each
     row's value is independent of how many rows are evaluated together.
@@ -189,17 +209,10 @@ def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
     grid = EvalGrid(observed.xs)
     ys = observed.ys
     n = ys.size
-    family = FAMILIES[kind]
-    free, offsets = _z_columns(kind)
 
-    def batch_rms(Z: np.ndarray) -> np.ndarray:
+    def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # caller holds an errstate that silences the expected warnings
-        theta = np.exp(Z)
-        theta += offsets
-        np.copyto(theta, Z, where=free)
-        ls = family.kernel(*theta.T[:, :, None], grid)
-        ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
-        s = np.exp(ls, out=ls)
+        s = _shapes(kind, Z, grid)
         tmp = s * ys
         num = np.add.reduce(tmp, axis=1)
         amp = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
@@ -211,7 +224,7 @@ def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
         out /= n
         np.sqrt(out, out=out)
         # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
-        return np.fmin(out, np.inf, out=out)
+        return np.fmin(out, np.inf, out=out), s
 
     return batch_rms
 
@@ -228,31 +241,34 @@ def _profiled_amplitude(observed: SampledSeries, params: ShapeParams) -> float:
     return amp_grid * math.exp(_log_peak(params) - peak_grid)
 
 
-def _shape_and_partials(kind: ModelKind, Z: np.ndarray, grid: EvalGrid):
-    """Grid-max-normalized shapes s (m, n) and their partials ds/dz
-    (m, d, n) for a (m, d) z-matrix; ds is 0 wherever s is exactly 0."""
-    family = FAMILIES[kind]
-    free, offsets = _z_columns(kind)
-    dtheta = np.exp(Z)  # dtheta/dz: exp(z), or 1 in the free columns
-    theta = dtheta + offsets
-    np.copyto(theta, Z, where=free)
-    np.copyto(dtheta, 1.0, where=free)
-    cols = theta.T[:, :, None]
-    ls = family.kernel(*cols, grid)
-    ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
-    s = np.exp(ls, out=ls)
+def _partials(kind: ModelKind, Z: np.ndarray, s: np.ndarray, grid: EvalGrid) -> np.ndarray:
+    """Partials ds/dz (m, d, n) of the grid-max-normalized shapes s (m, n)
+    at a (m, d) z-matrix; ds is 0 wherever s is exactly 0."""
+    free = _z_columns(kind)[0]
+    theta, dtheta = _theta_rows(kind, Z)
     ds = np.empty(Z.shape + s.shape[1:])
-    for j, dls in enumerate(family.partials(*cols, grid)):
+    for j, dls in enumerate(FAMILIES[kind].partials(*theta.T[:, :, None], grid)):
         np.multiply(s, dls, out=ds[:, j])
-        ds[:, j] *= dtheta[:, j, None]
+        if not free[j]:  # dtheta/dz is exactly 1 in a free column
+            ds[:, j] *= dtheta[:, j, None]
     # s * dls is 0 * inf (NaN) at an endpoint where the shape vanishes
-    np.copyto(ds, 0.0, where=(s == 0.0)[:, None, :])
-    return s, ds
+    if not s.all():
+        np.copyto(ds, 0.0, where=(s == 0.0)[:, None, :])
+    return ds
+
+
+def _shape_and_partials(kind: ModelKind, Z: np.ndarray, grid: EvalGrid):
+    """(s, ds/dz) at a (m, d) z-matrix: the shapes as the batch loss
+    computes them, the partials as the normal equations do."""
+    s = _shapes(kind, Z, grid)
+    return s, _partials(kind, Z, s, grid)
 
 
 def _make_normal_equations(kind: ModelKind, observed: SampledSeries):
     """Gauss-Newton normal equations of the profiled mean square residual:
-    (k, d) z-matrix -> (J^T J / n (k, d, d), J^T r / n (k, d)).
+    ((k, d) z-matrix, its shapes s (k, n) as the batch loss returned them)
+    -> (J^T J / n (k, d, d), J^T r / n (k, d)).  Only the partials are
+    computed here; the family kernel is not evaluated again.
 
     With the amplitude A = <s, y> / <s, s> profiled out, the residual is
     r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
@@ -265,8 +281,8 @@ def _make_normal_equations(kind: ModelKind, observed: SampledSeries):
     ys = observed.ys
     n = ys.size
 
-    def normal_equations(Z: np.ndarray):
-        s, ds = _shape_and_partials(kind, Z, grid)
+    def normal_equations(Z: np.ndarray, s: np.ndarray):
+        ds = _partials(kind, Z, s, grid)
         ss = np.add.reduce(s * s, axis=1)
         amp = np.add.reduce(s * ys, axis=1) / ss
         np.maximum(amp, 0.0, out=amp)  # as the loss clamps it
@@ -321,6 +337,13 @@ def _finite_rows(A: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.isfinite(A).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
 
 
+def _diagonals(A: np.ndarray) -> np.ndarray:
+    """The diagonals (k, d) of a C-contiguous (k, d, d) stack, as a strided
+    view: writing to it writes to A."""
+    k, d, _ = A.shape
+    return A.reshape(k, d * d)[:, :: d + 1]
+
+
 def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_iter: int):
     """Advance independent Levenberg-Marquardt runs in lockstep.
 
@@ -328,16 +351,16 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     ordered by start index.  Each pass solves every active start's damped
     normal equations (J^T J + lambda D) dz = -J^T r, D the running maximum
     of diag(J^T J) (Moré 1978; a column that fades along the path keeps
-    its damping), scores all trial points in one batched loss call, and
-    rebuilds the normal equations only for the starts whose step was
-    accepted (it lowered the loss).  A start converges when an accepted
-    step lowers its rms by at most ``tol`` or when lambda passes
-    _LAMBDA_MAX; it stops unconverged after ``max_iter`` passes, or at
-    once where its loss or normal equations are not finite.  Finished
-    starts are compacted out of the working arrays.
+    its damping), and scores all trial points in one batched loss call.
+    The normal equations are rebuilt only for the starts whose step was
+    accepted (it lowered the loss), from the shapes that loss call
+    returned for them, so each accepted point costs one kernel evaluation.
+    A start converges when an accepted step lowers its rms by at most
+    ``tol`` or when lambda passes _LAMBDA_MAX; it stops unconverged after
+    ``max_iter`` passes, or at once where its loss or normal equations are
+    not finite.  Finished starts are compacted out of the working arrays.
     """
-    S, d = Z0.shape
-    diag = np.arange(d)
+    S = Z0.shape[0]
     z_out = Z0.copy()
     f_out = np.full(S, np.inf)
     it_out = np.zeros(S, dtype=np.int64)
@@ -345,9 +368,9 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Z = Z0.copy()
-        F = batch_loss(Z)
-        A, g = normal_equations(Z)
-        D = A[:, diag, diag]
+        F, s = batch_loss(Z)
+        A, g = normal_equations(Z, s)
+        D = _diagonals(A).copy()
         lam = np.full(S, _LAMBDA0)
         idx = np.arange(S)  # original start index per active row
         it = 0  # every active start has made the same number of passes
@@ -370,27 +393,31 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
                     break
             it += 1
 
+            damping = lam[:, None] * D
             M = A.copy()
-            M[:, diag, diag] += lam[:, None] * D
+            _diagonals(M)[...] += damping
             dz = _solve_rows(M, -g)
             Zt = Z + dz
-            Ft = batch_loss(Zt)
+            Ft, st = batch_loss(Zt)
             accept = Ft < F
             converged = accept & (F - Ft <= tol)
             # predicted fall of the mean square: lambda dz^T D dz - dz^T J^T r / n
-            predicted = np.add.reduce(dz * (lam[:, None] * D * dz - g), axis=1)
+            predicted = np.add.reduce(dz * (damping * dz - g), axis=1)
             gain = (F * F - Ft * Ft) / predicted
-            lam[gain > _GAIN_HIGH] /= _LAMBDA_STEP
-            lam[~(gain >= _GAIN_LOW)] *= _LAMBDA_STEP  # NaN: a zero or non-finite step
+            np.divide(lam, _LAMBDA_STEP, out=lam, where=gain > _GAIN_HIGH)
+            # NaN: a zero or non-finite step
+            np.multiply(lam, _LAMBDA_STEP, out=lam, where=~(gain >= _GAIN_LOW))
             converged |= lam > _LAMBDA_MAX
-            Z[accept] = Zt[accept]
-            F[accept] = Ft[accept]
+            np.copyto(Z, Zt, where=accept[:, None])
+            np.copyto(F, Ft, where=accept)
             done = converged.copy()
             step = np.flatnonzero(accept & ~converged)
             if step.size:
-                A[step], g[step] = normal_equations(Z[step])
-                D[step] = np.maximum(D[step], A[step][:, diag, diag])
-                done[step] = ~_finite_rows(A[step], g[step])
+                As, gs = normal_equations(Zt[step], st[step])
+                A[step] = As
+                g[step] = gs
+                D[step] = np.maximum(D[step], _diagonals(As))
+                done[step] = ~_finite_rows(As, gs)
 
     return z_out, f_out, it_out, cv_out
 

@@ -170,6 +170,9 @@ class SampledSeries:
             raise ValueError("xs and ys must be 1-D arrays of equal length")
         if xs.size == 0:
             raise ValueError("series must contain at least one point")
+        # NaN passes both range comparisons
+        if not np.isfinite(xs).all():
+            raise ValueError("xs must be finite")
         if xs.min() < 0.0 or xs.max() > 1.0:
             raise ValueError("xs must lie within [0, 1]")
         xs.setflags(write=False)

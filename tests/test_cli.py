@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -94,6 +95,30 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "--model", "maxent", "--input", str(bad))
         assert code == 1
         assert "bad.csv" in err
+
+    def test_non_finite_time_span_exits_one(self, capsys, tmp_path):
+        # the span overflows float64, so every normalized time would be NaN
+        path = tmp_path / "span.csv"
+        path.write_text("1e308,1\n-1e308,2\n0,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fit", "--model", "all", "--seed", "1", "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "span.csv" in err and "overflows" in err
+
+    def test_plot_overflowing_in_original_units_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1,1\n2,1e308\n3,1e308\n4,1\n")
+        plot = tmp_path / "x.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "fit", "--model", "maxent", "--input", str(path), "--plot", str(plot))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "cannot plot maxent" in err
+        assert not plot.exists()
 
     def test_plot_byte_deterministic(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

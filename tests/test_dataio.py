@@ -70,6 +70,33 @@ class TestLoadSeries:
         np.testing.assert_array_equal(sorted_raw.times, shuffled.times)
         np.testing.assert_array_equal(sorted_raw.values, shuffled.values)
 
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "stream"])
+    def test_non_utf8_bytes_are_format_error(self, wrap):
+        with pytest.raises(SeriesFormatError, match="UTF-8"):
+            load_series(wrap(b"\xff\xfe1,2\n2,3\n3,4\n"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.text(max_size=64).map(io.StringIO),
+            st.lists(
+                st.tuples(st.sampled_from(["1", "-0.0", "1e308", "inf", "nan", "x", ""]), st.text(max_size=4)),
+                max_size=6,
+            ).map(lambda rows: io.StringIO("\n".join(a + b for a, b in rows))),
+            st.lists(st.tuples(st.floats(), st.floats()), max_size=6).map(
+                lambda rows: "\n".join(f"{t!r},{v!r}" for t, v in rows).encode()
+            ),
+        )
+    )
+    def test_any_input_loads_or_is_format_error(self, source):
+        try:
+            raw = load_series(source)
+        except SeriesFormatError:
+            return
+        assert isinstance(raw, RawSeries)
+        assert len(raw) >= 3
+
     def test_bytes_and_path_inputs(self, tmp_path):
         text = "1,1\n2,5\n3,1\n"
         from_bytes = load_series(text.encode())
@@ -123,6 +150,15 @@ class TestNormalize:
         raw = RawSeries(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             normalize(raw, padding=0.5)
+
+    @pytest.mark.parametrize(
+        "times,padding",
+        [([-1e308, 0.0, 1e308], 0.02), ([0.0, 1.0, 1.7e308], 0.4)],
+    )
+    def test_overflowing_time_span_named(self, times, padding):
+        raw = RawSeries(np.array(times), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=r"time span \[.*\].*overflows"):
+            normalize(raw, padding=padding)
 
 
 class TestDenormalizeFit:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -147,7 +148,7 @@ class TestFit:
 
     def test_all_starts_diverged_raises_with_diagnostics(self, monkeypatch):
         def bad_loss_factory(kind, observed):
-            return lambda Z: np.full(Z.shape[0], np.inf)
+            return lambda Z: (np.full(Z.shape[0], np.inf), np.full((Z.shape[0], len(observed)), np.nan))
 
         monkeypatch.setattr(fitting, "_make_batch_loss", bad_loss_factory)
         series = maxent_series(2, 2, n=32)
@@ -214,20 +215,22 @@ class TestLockstep:
         calls = []
 
         def logged_loss(Z):
-            out = loss(Z)
-            calls.append(("loss", Z.copy(), out.copy()))
-            return out
+            out, shapes = loss(Z)
+            calls.append(("loss", Z.copy(), out.copy(), shapes.copy()))
+            return out, shapes
 
-        def logged_normal(Z):
-            calls.append(("normal", Z.copy(), None))
-            return normal(Z)
+        def logged_normal(Z, shapes):
+            calls.append(("normal", Z.copy(), None, shapes.copy()))
+            return normal(Z, shapes)
 
         _, _, passes, _ = fitting._lm_lockstep(logged_loss, logged_normal, Z0, 1e-12, 200)
         # one loss row and one normal-equation row per starting point
         assert [(c[0], c[1].shape[0]) for c in calls[:2]] == [("loss", 16), ("normal", 16)]
         best = calls[0][2].copy()
         k = 0
-        for i, (what, Z, out) in enumerate(calls[2:], start=2):
+        # the starting points' normal equations take the loss call's shapes
+        np.testing.assert_array_equal(calls[1][3], calls[0][3])
+        for i, (what, Z, out, shapes) in enumerate(calls[2:], start=2):
             if what == "normal":
                 continue
             # pass k scores one trial row per start still active, in start order
@@ -241,10 +244,55 @@ class TestLockstep:
             after = calls[i + 1] if i + 1 < len(calls) else ("end", np.empty((0, Z.shape[1])))
             rebuilt = after[1] if after[0] == "normal" else np.empty((0, Z.shape[1]))
             assert all((Z[accepted] == row).all(axis=1).any() for row in rebuilt)
+            # ... and take the shapes this loss call returned for those rows
+            for row, given in zip(rebuilt, after[3] if after[0] == "normal" else ()):
+                np.testing.assert_array_equal(given, shapes[(Z == row).all(axis=1)][0])
             going_on = Z[accepted & (passes[starts] > k)]
             assert all((rebuilt == row).all(axis=1).any() for row in going_on)
         assert k == passes.max()
         assert sum(c[1].shape[0] for c in calls[2:] if c[0] == "loss") == passes.sum()
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_one_kernel_row_per_loss_row(self, lockstep_series, kind, monkeypatch):
+        # the normal equations reuse the shapes of the loss call that scored
+        # their rows: during a fit the family kernel sees exactly the loss
+        # rows and the partials exactly the normal-equation rows
+        rows = {"kernel": 0, "partials": 0, "loss": 0, "normal": 0}
+
+        def counted(name, f):
+            def wrapped(*args):
+                if np.ndim(args[0]) == 2:  # a batch of rows, not the scalar peak lookup
+                    rows[name] += np.shape(args[0])[0]
+                return f(*args)
+
+            return wrapped
+
+        family = FAMILIES[kind]
+        monkeypatch.setitem(
+            FAMILIES,
+            kind,
+            dataclasses.replace(
+                family,
+                kernel=counted("kernel", family.kernel),
+                partials=counted("partials", family.partials),
+            ),
+        )
+        for factory, name in ((fitting._make_batch_loss, "loss"), (fitting._make_normal_equations, "normal")):
+
+            def logged_factory(k, observed, factory=factory, name=name):
+                inner = factory(k, observed)
+
+                def logged(Z, *args):
+                    rows[name] += Z.shape[0]
+                    return inner(Z, *args)
+
+                return logged
+
+            monkeypatch.setattr(fitting, factory.__name__, logged_factory)
+        fit(lockstep_series["universe25"], kind, FitConfig(seed=0))
+        assert rows["normal"] >= 16 and rows["loss"] > rows["normal"]
+        assert rows["kernel"] == rows["loss"]
+        assert rows["partials"] == rows["normal"]
 
     def test_singular_row_does_not_stop_the_others(self, lockstep_series):
         # start 3's normal equations are all zeros, so its damped matrix is
@@ -253,8 +301,8 @@ class TestLockstep:
         loss, normal, Z0 = _lockstep_inputs(kind, lockstep_series["universe25"])
         poison = Z0[3].copy()
 
-        def singular_normal(Z):
-            A, g = normal(Z)
+        def singular_normal(Z, shapes):
+            A, g = normal(Z, shapes)
             hit = (Z == poison).all(axis=1)
             A[hit] = 0.0
             g[hit] = 0.0

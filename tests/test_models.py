@@ -231,3 +231,9 @@ class TestValidation:
     def test_series_xs_domain(self):
         with pytest.raises(ValueError):
             SampledSeries(np.array([0.0, 1.5]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_series_xs_finite(self, bad):
+        # NaN fails neither range comparison
+        with pytest.raises(ValueError, match="finite"):
+            SampledSeries(np.array([0.0, bad, 1.0]), np.array([0.0, 1.0, 0.0]))
