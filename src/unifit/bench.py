@@ -71,8 +71,8 @@ class BenchConfig:
             raise ValueError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
         if self.grid_size < 8:
             raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,9 @@ def _run_fit(args) -> int:
     except (SeriesFormatError, ValueError) as exc:
         print(f"unifit fit: {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a directory, say, or no read permission
+        print(f"unifit fit: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     kinds = list(KIND_ORDER) if args.model == "all" else [ModelKind.from_string(args.model)]
 
@@ -205,10 +208,16 @@ def _run_bench(args) -> int:
         return EXIT_USAGE
 
     # the default, workers=1, runs in this process
-    if args.workers == 1:
-        table = cross_compare(config)
-    else:
-        table = cross_compare(config, workers=args.workers)
+    try:
+        if args.workers == 1:
+            table = cross_compare(config)
+        else:
+            table = cross_compare(config, workers=args.workers)
+    except ValueError as exc:
+        # a grid too large to allocate, or noise that lifts a series past
+        # the 1.5 that fit accepts
+        print(f"unifit bench: cannot run the benchmark: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     rendered = render_table(table)
     try:
         Path(args.out).write_text(rendered.csv, encoding="utf-8")

@@ -23,6 +23,13 @@ accepted from those shapes, adding only their partial derivatives: the
 family kernel runs once per trial point.  A row's result does not depend
 on which rows share its batch, so each start's trajectory is identical to
 running it alone.
+
+A start stops, converged, when an accepted step lowers its rms by at most
+``FitConfig.simplex_tolerance`` (an absolute amount, which ends fits whose
+residual is near zero) or by at most 1e-6 of the rms before the step (a
+relative amount, which ends fits that settle on a non-zero residual, such
+as noisy data or another family's series), or when its damping passes a
+ceiling; it stops unconverged at the pass cap.
 """
 
 from __future__ import annotations
@@ -82,9 +89,11 @@ class FitConfig:
     each) of every start, and no start makes more than 200 whatever its
     value: later passes only lengthen crawls along unidentifiable ridges,
     where no start converges.  A start converges when an accepted step
-    lowers its rms by at most ``simplex_tolerance`` (an absolute amount),
-    or when its damping grows so large that no step of useful length
-    lowers the loss.
+    lowers its rms by at most ``simplex_tolerance`` (an absolute amount)
+    or by at most 1e-6 of the rms before the step (a relative amount), or
+    when its damping grows so large that no step of useful length lowers
+    the loss.  (``simplex_tolerance`` is named after the Nelder-Mead
+    optimizer that Levenberg-Marquardt replaced.)
     """
 
     starts: int = 16
@@ -325,10 +334,13 @@ def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 # divided by _LAMBDA_STEP when the gain ratio (actual over predicted fall
 # of the mean square) exceeds _GAIN_HIGH and multiplied by it when the
 # ratio is below _GAIN_LOW (a rejected step has a ratio <= 0).  Past
-# _LAMBDA_MAX no step of useful length lowers the loss.
+# _LAMBDA_MAX no step of useful length lowers the loss.  An accepted step
+# that lowers the rms by at most _REL_FALL of itself ends the start: the
+# fit has settled (after MINPACK's relative-reduction test, Moré 1978).
 _LAMBDA0 = 1e-3
 _LAMBDA_STEP = 10.0
 _LAMBDA_MAX = 1e10
+_REL_FALL = 1e-6
 _GAIN_LOW = 0.25
 _GAIN_HIGH = 0.75
 
@@ -355,8 +367,10 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     The normal equations are rebuilt only for the starts whose step was
     accepted (it lowered the loss), from the shapes that loss call
     returned for them, so each accepted point costs one kernel evaluation.
-    A start converges when an accepted step lowers its rms by at most
-    ``tol`` or when lambda passes _LAMBDA_MAX; it stops unconverged after
+    A start converges when an accepted step lowers its rms F by at most
+    max(tol, _REL_FALL * F), the absolute test ending near-zero residuals
+    and the relative one (Moré 1978) fits that settle on a non-zero
+    residual, or when lambda passes _LAMBDA_MAX; it stops unconverged after
     ``max_iter`` passes, or at once where its loss or normal equations are
     not finite.  Finished starts are compacted out of the working arrays.
     """
@@ -400,7 +414,7 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
             Zt = Z + dz
             Ft, st = batch_loss(Zt)
             accept = Ft < F
-            converged = accept & (F - Ft <= tol)
+            converged = accept & (F - Ft <= np.maximum(tol, _REL_FALL * F))
             # predicted fall of the mean square: lambda dz^T D dz - dz^T J^T r / n
             predicted = np.add.reduce(dz * (damping * dz - g), axis=1)
             gain = (F * F - Ft * Ft) / predicted

@@ -197,7 +197,7 @@ class EvalGrid:
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         self.xs = xs
         self.omx = 1.0 - xs if omx is None else np.ascontiguousarray(omx, dtype=np.float64)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             self.inv_x = 1.0 / xs
             self.inv_omx = 1.0 / self.omx
             self.log_x = np.log(xs)

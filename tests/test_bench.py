@@ -133,6 +133,9 @@ class TestCrossCompare:
             BenchConfig(grid_size=4)
         with pytest.raises(ValueError):
             BenchConfig(noise_sigma=-0.1)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise_sigma must be finite"):
+                BenchConfig(noise_sigma=sigma)
 
 
 class TestRenderTable:

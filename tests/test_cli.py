@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import unifit.cli as cli
 from unifit import AuditReport, CrossTable, CellStats, bundled_dataset_path
@@ -88,6 +92,11 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "--model", "maxent", "--input", "missing.csv")
         assert code == 1
         assert "missing.csv" in err
+
+    def test_directory_input_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "fit", "--model", "maxent", "--input", str(tmp_path))
+        assert code == 1
+        assert err.splitlines() == [f"unifit fit: cannot read {tmp_path}: Is a directory"]
 
     def test_unparseable_input_exits_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -188,6 +197,18 @@ class TestBenchCommand:
         assert err.splitlines() == ["unifit bench: --workers must be >= 1, got 0"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--noise", "nan"], ["--noise", "inf"], ["--noise", "1.0"], ["--grid", str(2**70)]],
+        ids=["noise-nan", "noise-inf", "noise-lifts-past-1.5", "grid-too-large"],
+    )
+    def test_unrunnable_settings_exit_one(self, capsys, tmp_path, flags):
+        out = tmp_path / "t.csv"
+        code, _, err = run(capsys, "bench", "--trials", "1", "--seed", "1", *flags, "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("unifit bench: ")
+        assert not out.exists()
+
     def test_degraded_exits_three(self, capsys, tmp_path, monkeypatch):
         cell = CellStats(0.5, 0.1, 4)
         degraded = CrossTable(
@@ -244,3 +265,100 @@ class TestAuditCommand:
         )
         assert code == 0
         assert "trials=25" in out
+
+
+# flag values that are garbage, negative, huge or non-finite
+_ODD = st.sampled_from(["", "abc", "-1", "0", "1e309", "-1e308", "nan", "inf", "-inf", "0x10"])
+_ODD_FLOATS = st.one_of(_ODD, st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_ODD_INTS = st.one_of(_ODD, st.integers(-(2**70), -1).map(str), st.just(str(2**70)))
+_SEEDS = st.integers(0, 2**70).map(str)
+
+
+def _flags(**values):
+    """Optional flags, each (valid values, odd values): a flag is left out,
+    given without a value, given an odd value, or, most of the time, given
+    a valid one, so that many examples get past parsing."""
+
+    def one(name, valid, odd):
+        return st.integers(0, 9).flatmap(
+            lambda pick: st.just([])
+            if pick == 0
+            else st.just([name])
+            if pick == 1
+            else (odd if pick < 4 else valid).map(lambda v: [name, v])
+        )
+
+    parts = [one(f"--{name}", valid, odd) for name, (valid, odd) in values.items()]
+    return st.tuples(*parts).map(lambda chunks: [a for chunk in chunks for a in chunk])
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(["fit", "audit", "list-models", "bench", "bogus"]))
+    paths = st.sampled_from([files[k] for k in ("missing", "garbage", "directory", "no_dir")])
+    outputs = st.sampled_from([files["no_dir"], files["directory"]])
+    if command == "fit":
+        rest = draw(_flags(
+            input=(st.just(files["data"]), paths),
+            model=(st.sampled_from(["all", "maxent", "richards"]), st.sampled_from(["nope", ""])),
+            # a valid start count stays small: huge ones are slow, not wrong
+            starts=(st.integers(1, 64).map(str), st.one_of(_ODD, st.integers(-(2**70), 0).map(str))),
+            seed=(_SEEDS, _ODD_INTS),
+            padding=(st.floats(0.0, 0.49).map(repr), _ODD_FLOATS),
+            out=(st.just(files["out"]), outputs),
+            plot=(st.just(files["plot"]), outputs),
+        ))
+    elif command == "audit":
+        rest = draw(_flags(
+            model=(st.sampled_from(["maxent", "beta"]), st.sampled_from(["gengamma", ""])),
+            a=(st.floats(1e-3, 50.0).map(repr), _ODD_FLOATS),
+            b=(st.floats(1e-3, 50.0).map(repr), _ODD_FLOATS),
+            # each perturbation is a quadrature: keep valid counts small
+            perturbations=(st.integers(0, 20).map(str), st.one_of(_ODD, st.integers(-(2**70), -1).map(str))),
+            seed=(_SEEDS, _ODD_INTS),
+        ))
+    elif command == "bench":
+        # one trial per cell (25 fits); a grid larger than memory must fail
+        # at once, so no grid between 64 points and 2**70 is drawn
+        rest = ["--trials", "1"] + draw(_flags(
+            grid=(st.integers(8, 64).map(str), st.one_of(_ODD_INTS, st.integers(-3, 7).map(str))),
+            noise=(st.floats(0.0, 0.2).map(repr), _ODD_FLOATS),
+            seed=(_SEEDS, _ODD_INTS),
+            out=(st.just(files["table"]), outputs),
+            workers=(st.just("1"), st.sampled_from(["0", "-2", "x", ""])),
+        ))
+    else:
+        rest = draw(st.lists(st.sampled_from(["--help", "-h", "x", "--seed", "1"]), max_size=2))
+    return [command] + rest
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    garbage = root / "garbage.csv"
+    garbage.write_bytes(b"time,value\n1,x\n\xff\xfe\n")
+    return {
+        "data": str(bundled_dataset_path("st_matthew")),
+        "garbage": str(garbage),
+        "missing": str(root / "missing.csv"),
+        "directory": str(root),
+        "out": str(root / "fit.json"),
+        "plot": str(root / "plot.svg"),
+        "table": str(root / "table.csv"),
+        "no_dir": str(root / "no" / "such" / "dir" / "file"),
+    }
+
+
+class TestContract:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_main_returns_a_documented_exit_code(self, contract_files, data):
+        argv = data.draw(_argv(contract_files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {0, 1, 2, 3, 4}, (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

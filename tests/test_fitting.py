@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from unifit import (
     sample_series,
 )
 import unifit.fitting as fitting
+from unifit.bench import BenchConfig, _trial_series
 from unifit.fitting import start_pool
 from unifit.models import FAMILIES, EvalGrid
 
@@ -117,11 +119,12 @@ class TestFit:
             ShapeParams(kind, result.model.params.values)
 
     def test_passes_capped_at_200(self):
-        # some Universe 25 skewnormal starts crawl along a ridge to the cap
-        series = normalize(load_series(bundled_dataset_path("universe25")))[0]
-        capped = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=200))
-        wider = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=5000))
-        tighter = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=199))
+        # gengamma fitting a seed-1 benchmark richards series: some starts
+        # crawl along a ridge, still improving, to the cap
+        series = _trial_series(BenchConfig(seed=1), 0, 1)
+        capped = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=200))
+        wider = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=5000))
+        tighter = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=199))
         assert wider == capped
         assert tighter.iterations_used < capped.iterations_used
 
@@ -137,10 +140,13 @@ class TestFit:
     @settings(max_examples=20, deadline=None)
     @given(ys=st.lists(st.floats(0.0, 1.5), min_size=2, max_size=12))
     def test_contract_on_short_series(self, kind, ys):
-        # fit returns in-bounds parameters or raises one of its two errors
+        # fit returns in-bounds parameters or raises one of its two errors,
+        # and emits no RuntimeWarning on the way
         series = SampledSeries(np.linspace(0.0, 1.0, len(ys)), np.array(ys))
         try:
-            result = fit(series, kind, FitConfig(seed=0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = fit(series, kind, FitConfig(seed=0))
         except (FitFailureError, ValueError) as exc:
             assert not isinstance(exc, ParameterBoundsError), exc
             return
@@ -193,6 +199,32 @@ def lockstep_series():
     noise = np.random.default_rng(7).normal(0.0, 0.03, 1001)
     noisy = SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
     return {"universe25": universe25, "noisy1001": noisy}
+
+
+def _stepping_stub(rows):
+    """(batch loss, normal equations) of a 2-D stub problem whose row label
+    z[1] picks (F0, q) from ``rows``: the normal equations are J^T J = I and
+    J^T r = (-1, 0), so z[0] walks up by 1 / (1 + lambda), and the rms is
+    F0 (1 - q) ** round(z[0]): every step that reaches the next integer
+    lowers the rms by the share q of itself."""
+    table = np.array(rows, dtype=float)
+
+    def loss(Z):
+        f0, q = table[Z[:, 1].astype(int)].T
+        return f0 * (1.0 - q) ** np.rint(Z[:, 0]), np.zeros((Z.shape[0], 1))
+
+    def normal(Z, shapes):
+        return np.broadcast_to(np.eye(2), (Z.shape[0], 2, 2)).copy(), np.tile([-1.0, 0.0], (Z.shape[0], 1))
+
+    return loss, normal
+
+
+def _run_stub(rows, tol=1e-12, max_iter=200, starts=slice(None)):
+    """``_lm_lockstep`` on the stub problem from z = (0, label) for the
+    labels ``starts`` picks (default: one start per entry of rows)."""
+    loss, normal = _stepping_stub(rows)
+    Z0 = np.column_stack([np.zeros(len(rows)), np.arange(len(rows))])[starts]
+    return fitting._lm_lockstep(loss, normal, Z0, tol, max_iter)
 
 
 class TestLockstep:
@@ -317,6 +349,38 @@ class TestLockstep:
         # the singular start takes the minimum-norm (zero) step: it cannot
         # move, its damping grows past the ceiling and it stops in place
         np.testing.assert_array_equal(together[0][3], poison)
+
+    def test_relative_fall_at_most_threshold_stops_at_that_pass(self):
+        z, F, passes, converged = _run_stub([(0.01, 0.99 * fitting._REL_FALL)])
+        assert passes[0] == 1 and converged[0]
+        assert F[0] == 0.01 * (1.0 - 0.99 * fitting._REL_FALL)
+        assert z[0, 0] == 1.0 / (1.0 + fitting._LAMBDA0)
+
+    def test_relative_fall_just_above_threshold_keeps_going(self):
+        q = 1.01 * fitting._REL_FALL
+        _, F, passes, converged = _run_stub([(0.01, q)], max_iter=2)
+        # both passes are accepted; the start runs on to the pass cap
+        assert passes[0] == 2 and not converged[0]
+        assert F[0] == 0.01 * (1.0 - q) ** 2
+
+    def test_absolute_tolerance_still_stops_near_zero_residuals(self):
+        # a fall of half the rms, far above the relative threshold, but
+        # below the absolute tolerance
+        _, _, passes, converged = _run_stub([(1e-14, 0.5)], tol=1e-12)
+        assert passes[0] == 1 and converged[0]
+        _, _, passes, converged = _run_stub([(1e-14, 0.5)], tol=1e-20, max_iter=2)
+        assert passes[0] == 2 and not converged[0]
+
+    def test_relative_stop_leaves_other_rows_unchanged(self):
+        # start 0 stops relatively at pass 1, start 2 by the absolute
+        # tolerance; 1 and 3 go on, each as it would alone
+        rows = [(0.01, 0.5 * fitting._REL_FALL), (0.01, 2 * fitting._REL_FALL), (1e-14, 0.5), (0.3, 1e-3)]
+        together = _run_stub(rows)
+        np.testing.assert_array_equal(together[2], [1, 14, 1, 14])
+        for i in range(len(rows)):
+            alone = _run_stub(rows, starts=slice(i, i + 1))
+            for k, field in enumerate(("z", "loss", "iterations", "converged")):
+                assert np.array_equal(together[k][i], alone[k][0]), (i, field)
 
 
 class TestPartials:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from unifit import (
 )
 from unifit._seeds import mix64
 from unifit.bench import sample_generator_params
+from unifit.models import EvalGrid
 
 
 def maxent(a, b):
@@ -148,6 +150,17 @@ class TestEvaluate:
         model = CurveModel(params, 3.0)
         assert evaluate(model, 0.5) == 3.0
         assert np.isfinite(evaluate_on(model, np.linspace(0, 1, 101))).all()
+
+    def test_subnormal_abscissa_is_silent(self):
+        # 1/x overflows to inf for a subnormal x; that is the expected value,
+        # not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = EvalGrid(np.array([1e-309, 0.5]))
+            gengamma = CurveModel(ShapeParams(ModelKind.GENGAMMA, (1e-308, 1.1, 1.0)), 1.0)
+            ys = evaluate_on(gengamma, np.linspace(0, 1, 5))
+        assert grid.inv_x[0] == np.inf and grid.inv_x[1] == 2.0
+        assert np.isfinite(ys).all()
 
 
 class TestUnimodality:
