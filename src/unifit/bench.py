@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._seeds import mix64
-from .fitting import FitConfig, FitFailureError, _theta_from_unit, fit
+from .fitting import _MAX_PEAK, FitConfig, FitFailureError, _theta_from_unit, fit
 from .models import (
     FAMILIES,
     KIND_ORDER,
@@ -53,9 +53,13 @@ _MODE_RANGE = (0.15, 0.85)
 _MIN_FWHM = 0.02
 _MAX_EDGE_FRACTION = 0.05  # shape at x in {0, 1} relative to the peak
 _MAX_REJECTIONS = 100
+# fitting holds float64 arrays of (starts, grid points): at this grid the
+# five fits of a series peak near 270 MB, and memory grows with the grid
+_MAX_GRID = 100_000
 
 class GenerationError(RuntimeError):
-    """Parameter generation exhausted its rejection budget."""
+    """Series generation failed: the parameter draw exhausted its
+    rejection budget, or noise lifted a series past what ``fit`` accepts."""
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.trials_per_cell < 1:
             raise ValueError(f"trials_per_cell must be >= 1, got {self.trials_per_cell}")
-        if self.grid_size < 8:
-            raise ValueError(f"grid_size must be >= 8, got {self.grid_size}")
+        if not 8 <= self.grid_size <= _MAX_GRID:
+            raise ValueError(f"grid_size must be in [8, {_MAX_GRID}], got {self.grid_size}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -159,6 +163,11 @@ def _trial_series(config: BenchConfig, gen_index: int, trial: int) -> SampledSer
         rng = np.random.default_rng(mix64(config.seed, _NOISE_TAG, gen_index, trial))
         ys = series.ys + rng.normal(0.0, config.noise_sigma, series.ys.size)
         np.clip(ys, 0.0, None, out=ys)
+        if ys.max() > _MAX_PEAK:
+            raise GenerationError(
+                f"noise_sigma {config.noise_sigma} lifts {gen_kind.value} trial {trial} "
+                f"to a peak of {ys.max():.4g}, past the {_MAX_PEAK} that fit accepts"
+            )
         series = SampledSeries(series.xs, ys)
     return series
 

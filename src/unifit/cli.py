@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchConfig, cross_compare, render_table
+from .bench import BenchConfig, GenerationError, cross_compare, render_table
 from .dataio import (
     SeriesFormatError,
     denormalize_fit,
@@ -213,9 +213,7 @@ def _run_bench(args) -> int:
             table = cross_compare(config)
         else:
             table = cross_compare(config, workers=args.workers)
-    except ValueError as exc:
-        # a grid too large to allocate, or noise that lifts a series past
-        # the 1.5 that fit accepts
+    except GenerationError as exc:
         print(f"unifit bench: cannot run the benchmark: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rendered = render_table(table)

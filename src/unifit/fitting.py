@@ -26,10 +26,12 @@ running it alone.
 
 A start stops, converged, when an accepted step lowers its rms by at most
 ``FitConfig.simplex_tolerance`` (an absolute amount, which ends fits whose
-residual is near zero) or by at most 1e-6 of the rms before the step (a
-relative amount, which ends fits that settle on a non-zero residual, such
-as noisy data or another family's series), or when its damping passes a
-ceiling; it stops unconverged at the pass cap.
+residual is near zero); or when the step lowers its rms by at most 1e-6 of
+the rms before the step, the model predicted no larger fall and the fall
+was not more than twice the prediction (a relative test, which ends fits
+that settle on a non-zero residual, such as noisy data or another
+family's series); or when its damping passes a ceiling.  It stops
+unconverged at the pass cap.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ _START_BLOCK = 16
 
 #: Most Levenberg-Marquardt passes a start makes (see ``FitConfig``).
 _MAX_PASSES = 200
+#: Largest series maximum ``fit`` accepts: unit peak plus noise headroom.
+_MAX_PEAK = 1.5
 
 
 class FitFailureError(RuntimeError):
@@ -89,11 +93,11 @@ class FitConfig:
     each) of every start, and no start makes more than 200 whatever its
     value: later passes only lengthen crawls along unidentifiable ridges,
     where no start converges.  A start converges when an accepted step
-    lowers its rms by at most ``simplex_tolerance`` (an absolute amount)
-    or by at most 1e-6 of the rms before the step (a relative amount), or
-    when its damping grows so large that no step of useful length lowers
-    the loss.  (``simplex_tolerance`` is named after the Nelder-Mead
-    optimizer that Levenberg-Marquardt replaced.)
+    lowers its rms by at most ``simplex_tolerance`` (an absolute amount);
+    or when it lowers the rms by at most 1e-6 of itself, no larger fall
+    was predicted and the fall was at most twice the prediction (a
+    relative test); or when its damping grows so large that no step of
+    useful length lowers the loss.
     """
 
     starts: int = 16
@@ -335,8 +339,11 @@ def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 # of the mean square) exceeds _GAIN_HIGH and multiplied by it when the
 # ratio is below _GAIN_LOW (a rejected step has a ratio <= 0).  Past
 # _LAMBDA_MAX no step of useful length lowers the loss.  An accepted step
-# that lowers the rms by at most _REL_FALL of itself ends the start: the
-# fit has settled (after MINPACK's relative-reduction test, Moré 1978).
+# ends the start, settled, when it lowers the rms by at most _REL_FALL of
+# itself, the predicted fall is no larger (a fall of the rms by q of
+# itself is one of about 2q of the mean square) and the gain ratio is at
+# most 2: MINPACK's ftol test (Moré 1978), whose actual-fall term is here
+# taken on the rms rather than on the sum of squares.
 _LAMBDA0 = 1e-3
 _LAMBDA_STEP = 10.0
 _LAMBDA_MAX = 1e10
@@ -368,9 +375,11 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     accepted (it lowered the loss), from the shapes that loss call
     returned for them, so each accepted point costs one kernel evaluation.
     A start converges when an accepted step lowers its rms F by at most
-    max(tol, _REL_FALL * F), the absolute test ending near-zero residuals
-    and the relative one (Moré 1978) fits that settle on a non-zero
-    residual, or when lambda passes _LAMBDA_MAX; it stops unconverged after
+    ``tol``, which ends near-zero residuals; or when it lowers F by at
+    most _REL_FALL * F with a predicted fall of the mean square of at most
+    2 _REL_FALL F^2 and a gain ratio of at most 2, which ends fits that
+    settle on a non-zero residual (MINPACK's ftol test, Moré 1978); or
+    when lambda passes _LAMBDA_MAX.  It stops unconverged after
     ``max_iter`` passes, or at once where its loss or normal equations are
     not finite.  Finished starts are compacted out of the working arrays.
     """
@@ -414,10 +423,15 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
             Zt = Z + dz
             Ft, st = batch_loss(Zt)
             accept = Ft < F
-            converged = accept & (F - Ft <= np.maximum(tol, _REL_FALL * F))
             # predicted fall of the mean square: lambda dz^T D dz - dz^T J^T r / n
             predicted = np.add.reduce(dz * (damping * dz - g), axis=1)
             gain = (F * F - Ft * Ft) / predicted
+            settled = (
+                (F - Ft <= _REL_FALL * F)
+                & (predicted <= 2.0 * _REL_FALL * F * F)
+                & (gain <= 2.0)
+            )
+            converged = accept & ((F - Ft <= tol) | settled)
             np.divide(lam, _LAMBDA_STEP, out=lam, where=gain > _GAIN_HIGH)
             # NaN: a zero or non-finite step
             np.multiply(lam, _LAMBDA_STEP, out=lam, where=~(gain >= _GAIN_LOW))
@@ -450,8 +464,8 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         raise ValueError("observed series contains non-finite values")
     # unit-peak data plus headroom for additive noise on synthetic series;
     # anything larger is raw unnormalized input
-    if ymax > 1.5:
-        raise ValueError(f"series is not normalized: max(ys) = {ymax!r} > 1.5")
+    if ymax > _MAX_PEAK:
+        raise ValueError(f"series is not normalized: max(ys) = {ymax!r} > {_MAX_PEAK}")
     if ymax <= 0.0:
         raise FitFailureError(
             "series is identically <= 0; amplitude is degenerate",

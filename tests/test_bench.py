@@ -136,6 +136,15 @@ class TestCrossCompare:
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="noise_sigma must be finite"):
                 BenchConfig(noise_sigma=sigma)
+        BenchConfig(grid_size=100_000)
+        with pytest.raises(ValueError, match=r"grid_size must be in \[8, 100000\]"):
+            BenchConfig(grid_size=100_001)
+
+    def test_noise_past_fit_limit_is_generation_error(self):
+        # one noisy series above the 1.5 that fit accepts stops the run
+        cfg = BenchConfig(trials_per_cell=1, noise_sigma=1.0, seed=1, fit=FitConfig(seed=1))
+        with pytest.raises(GenerationError, match="past the 1.5 that fit accepts"):
+            cross_compare(cfg)
 
 
 class TestRenderTable:

@@ -199,8 +199,8 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--noise", "nan"], ["--noise", "inf"], ["--noise", "1.0"], ["--grid", str(2**70)]],
-        ids=["noise-nan", "noise-inf", "noise-lifts-past-1.5", "grid-too-large"],
+        [["--noise", "nan"], ["--noise", "inf"], ["--noise", "1.0"], ["--grid", "100001"], ["--grid", str(2**70)]],
+        ids=["noise-nan", "noise-inf", "noise-lifts-past-1.5", "grid-above-bound", "grid-too-large"],
     )
     def test_unrunnable_settings_exit_one(self, capsys, tmp_path, flags):
         out = tmp_path / "t.csv"
@@ -318,10 +318,13 @@ def _argv(draw, files):
             seed=(_SEEDS, _ODD_INTS),
         ))
     elif command == "bench":
-        # one trial per cell (25 fits); a grid larger than memory must fail
-        # at once, so no grid between 64 points and 2**70 is drawn
+        # one trial per cell (25 fits) on small valid grids; grids above
+        # the 100,000-point bound are rejected before any fit
         rest = ["--trials", "1"] + draw(_flags(
-            grid=(st.integers(8, 64).map(str), st.one_of(_ODD_INTS, st.integers(-3, 7).map(str))),
+            grid=(
+                st.integers(8, 64).map(str),
+                st.one_of(_ODD_INTS, st.integers(-3, 7).map(str), st.integers(100_001, 2**70).map(str)),
+            ),
             noise=(st.floats(0.0, 0.2).map(repr), _ODD_FLOATS),
             seed=(_SEEDS, _ODD_INTS),
             out=(st.just(files["table"]), outputs),

@@ -203,18 +203,25 @@ def lockstep_series():
 
 def _stepping_stub(rows):
     """(batch loss, normal equations) of a 2-D stub problem whose row label
-    z[1] picks (F0, q) from ``rows``: the normal equations are J^T J = I and
-    J^T r = (-1, 0), so z[0] walks up by 1 / (1 + lambda), and the rms is
-    F0 (1 - q) ** round(z[0]): every step that reaches the next integer
-    lowers the rms by the share q of itself."""
-    table = np.array(rows, dtype=float)
+    z[1] picks (F0, q) or (F0, q, k) from ``rows`` (k defaults to 1).  The
+    rms is F0 (1 - q) ** round(z[0]): every step that reaches the next
+    integer lowers the rms by the share q of itself, and so the mean
+    square by s = F^2 q (2 - q).  The normal equations are J^T J = k s I
+    and J^T r = (-k s, 0), so z[0] walks up by about 1 / (1 + lambda) and
+    the predicted fall of the mean square is about k s: k = 1 predicts the
+    actual fall, k > 1 overestimates it and k < 1 underestimates it."""
+    table = np.array([tuple(r) + (1.0,) * (3 - len(r)) for r in rows])
 
     def loss(Z):
-        f0, q = table[Z[:, 1].astype(int)].T
-        return f0 * (1.0 - q) ** np.rint(Z[:, 0]), np.zeros((Z.shape[0], 1))
+        f0, q, k = table[Z[:, 1].astype(int)].T
+        F = f0 * (1.0 - q) ** np.rint(Z[:, 0])
+        return F, np.column_stack([F, q, k])
 
     def normal(Z, shapes):
-        return np.broadcast_to(np.eye(2), (Z.shape[0], 2, 2)).copy(), np.tile([-1.0, 0.0], (Z.shape[0], 1))
+        F, q, k = shapes.T
+        ks = k * F * F * q * (2.0 - q)
+        A = ks[:, None, None] * np.eye(2)
+        return A, np.column_stack([-ks, np.zeros_like(ks)])
 
     return loss, normal
 
@@ -354,14 +361,32 @@ class TestLockstep:
         z, F, passes, converged = _run_stub([(0.01, 0.99 * fitting._REL_FALL)])
         assert passes[0] == 1 and converged[0]
         assert F[0] == 0.01 * (1.0 - 0.99 * fitting._REL_FALL)
-        assert z[0, 0] == 1.0 / (1.0 + fitting._LAMBDA0)
+        assert z[0, 0] == pytest.approx(1.0 / (1.0 + fitting._LAMBDA0), rel=1e-15)
 
     def test_relative_fall_just_above_threshold_keeps_going(self):
+        # the model predicts 0.9 of the fall, so only the fall itself
+        # keeps the start going
         q = 1.01 * fitting._REL_FALL
-        _, F, passes, converged = _run_stub([(0.01, q)], max_iter=2)
+        _, F, passes, converged = _run_stub([(0.01, q, 0.9)], max_iter=2)
         # both passes are accepted; the start runs on to the pass cap
         assert passes[0] == 2 and not converged[0]
         assert F[0] == 0.01 * (1.0 - q) ** 2
+
+    def test_small_fall_with_larger_predicted_fall_keeps_going(self):
+        # the fall is below the threshold, but the model predicted three
+        # times as much: the start is not settled
+        q = 0.99 * fitting._REL_FALL
+        _, F, passes, converged = _run_stub([(0.01, q, 3.0)], max_iter=3)
+        assert passes[0] == 3 and not converged[0]
+        assert F[0] == 0.01 * (1.0 - q) ** 3
+
+    def test_small_fall_beyond_twice_the_prediction_keeps_going(self):
+        # the fall is below the threshold, but 2.5 times what the model
+        # predicted (gain ratio above 2): the start is not settled
+        q = 0.99 * fitting._REL_FALL
+        _, F, passes, converged = _run_stub([(0.01, q, 0.4)], max_iter=3)
+        assert passes[0] == 3 and not converged[0]
+        assert F[0] == 0.01 * (1.0 - q) ** 3
 
     def test_absolute_tolerance_still_stops_near_zero_residuals(self):
         # a fall of half the rms, far above the relative threshold, but
@@ -373,12 +398,19 @@ class TestLockstep:
 
     def test_relative_stop_leaves_other_rows_unchanged(self):
         # start 0 stops relatively at pass 1, start 2 by the absolute
-        # tolerance; 1 and 3 go on, each as it would alone
-        rows = [(0.01, 0.5 * fitting._REL_FALL), (0.01, 2 * fitting._REL_FALL), (1e-14, 0.5), (0.3, 1e-3)]
-        together = _run_stub(rows)
-        np.testing.assert_array_equal(together[2], [1, 14, 1, 14])
+        # tolerance; 1, 3 and 4 go on to the cap, each as it would alone
+        rows = [
+            (0.01, 0.5 * fitting._REL_FALL),
+            (0.01, 1.5 * fitting._REL_FALL, 0.6),
+            (1e-14, 0.5),
+            (0.3, 1e-3),
+            (0.01, 0.5 * fitting._REL_FALL, 3.0),
+        ]
+        together = _run_stub(rows, max_iter=20)
+        np.testing.assert_array_equal(together[2], [1, 20, 1, 20, 20])
+        np.testing.assert_array_equal(together[3], [True, False, True, False, False])
         for i in range(len(rows)):
-            alone = _run_stub(rows, starts=slice(i, i + 1))
+            alone = _run_stub(rows, max_iter=20, starts=slice(i, i + 1))
             for k, field in enumerate(("z", "loss", "iterations", "converged")):
                 assert np.array_equal(together[k][i], alone[k][0]), (i, field)
 
