@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._seeds import mix64
-from .fitting import _MAX_PEAK, FitConfig, FitFailureError, _theta_from_unit, fit
+from .fitting import _MAX_PEAK, FitConfig, FitFailureError, fit
 from .models import (
     FAMILIES,
     KIND_ORDER,
@@ -139,7 +139,7 @@ def sample_generator_params(kind: ModelKind, rng_seed: int) -> ShapeParams:
     edge_xs = np.array([0.0, 1.0])
     for _ in range(_MAX_REJECTIONS):
         u = rng.random(len(specs))
-        values = tuple(float(_theta_from_unit(spec, uj, *spec.gen)) for spec, uj in zip(specs, u))
+        values = tuple(float(spec.from_unit(uj, *spec.gen)) for spec, uj in zip(specs, u))
         params = ShapeParams(kind, values)
         if not _MODE_RANGE[0] <= mode(params) <= _MODE_RANGE[1]:
             continue

@@ -26,7 +26,6 @@ from .models import (
     FAMILIES,
     KIND_ORDER,
     ModelKind,
-    ParameterBoundsError,
     ShapeParams,
     mode,
 )
@@ -207,12 +206,8 @@ def _run_bench(args) -> int:
         print(f"unifit bench: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # the default, workers=1, runs in this process
     try:
-        if args.workers == 1:
-            table = cross_compare(config)
-        else:
-            table = cross_compare(config, workers=args.workers)
+        table = cross_compare(config, workers=args.workers)
     except GenerationError as exc:
         print(f"unifit bench: cannot run the benchmark: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -238,15 +233,14 @@ def _run_audit(args) -> int:
         print(f"unifit audit: --perturbations {args.perturbations} is negative", file=sys.stderr)
         return EXIT_USAGE
     kind = ModelKind.from_string(args.model)
+    quad = QuadratureSpec()
     try:
         params = ShapeParams(kind, (args.a, args.b))
-    except ParameterBoundsError as exc:
+        h = entropy_of(params, quad)
+        c1, c2, c3 = constraint_integrals(params, quad)
+    except ValueError as exc:  # out of bounds, or a shape the quadrature cannot normalize
         print(f"unifit audit: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    quad = QuadratureSpec()
-    h = entropy_of(params, quad)
-    c1, c2, c3 = constraint_integrals(params, quad)
     print(f"model {kind.value} a={args.a:g} b={args.b:g}")
     print(f"mode: {mode(params):.10g}")
     print(f"H:  {h:.10g}")

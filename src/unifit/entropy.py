@@ -120,10 +120,14 @@ def _require_entropy_family(params: ShapeParams) -> None:
 
 
 def _density(params: ShapeParams, grid: EvalGrid, w: np.ndarray) -> np.ndarray:
-    """Shape normalized to unit quadrature mass."""
+    """Shape normalized to unit quadrature mass, which must be finite and > 0."""
     ls = log_shape_on_grid(params, grid)
-    s = np.exp(ls - ls.max())
-    return s / float(w @ s)
+    with np.errstate(invalid="ignore"):  # ls.max() is -inf if every node underflows
+        s = np.exp(ls - ls.max())
+        mass = float(w @ s)
+    if not 0.0 < mass < np.inf:
+        raise ValueError(f"{params.kind.value} {params.named()} has quadrature mass {mass!r}")
+    return s / mass
 
 
 def _entropy_integral(p: np.ndarray, w: np.ndarray) -> float:

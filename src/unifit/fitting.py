@@ -10,19 +10,22 @@ profiled out analytically at every loss evaluation (closed-form 1-D
 least squares against the unit-peak shape), which drops the search to at
 most three dimensions; the remaining separable problem is solved by
 variable projection (Golub & Pereyra 1973): Gauss-Newton steps on the
-projected residual, with Marquardt damping.
+projected residual, with Marquardt damping.  ``_theta_rows`` is the one
+z -> theta map: the loss, the partials and ``fit``'s report of the winning
+start all use it, so ``fit`` returns the parameters whose rms it reports.
 
 Multi-start: initial points come from a seeded Latin hypercube over the
-per-family start ranges in ``models.FAMILIES``.  The pool is built in
-blocks of 16 (the default start count), so the pool for ``starts=k`` is
-a prefix of the pool for any larger count with the same seed.  All
-starts advance in lockstep: each pass scores the trial steps of all
-active starts in one batched loss call, which also returns the shapes it
-evaluated, and rebuilds the normal equations of the starts whose step was
-accepted from those shapes, adding only their partial derivatives: the
-family kernel runs once per trial point.  A row's result does not depend
-on which rows share its batch, so each start's trajectory is identical to
-running it alone.
+per-family start ranges in ``models.FAMILIES``, mapped to theta by
+``models.Param.from_unit`` (as the benchmark's generation draws are) and
+then to z.  The pool is built in blocks of 16 (the default start count),
+so the pool for ``starts=k`` is a prefix of the pool for any larger count
+with the same seed.  All starts advance in lockstep: each pass scores the
+trial steps of all active starts in one batched loss call, which also
+returns the shapes it evaluated, and rebuilds the normal equations of the
+starts whose step was accepted from those shapes, adding only their
+partial derivatives: the family kernel runs once per trial point.  A
+row's result does not depend on which rows share its batch, so each
+start's trajectory is identical to running it alone.
 
 A start stops, converged, when an accepted step lowers its rms by at most
 ``FitConfig.simplex_tolerance`` (an absolute amount, which ends fits whose
@@ -49,7 +52,6 @@ from .models import (
     CurveModel,
     EvalGrid,
     ModelKind,
-    Param,
     ParameterBoundsError,
     SampledSeries,
     ShapeParams,
@@ -98,6 +100,10 @@ class FitConfig:
     was predicted and the fall was at most twice the prediction (a
     relative test); or when its damping grows so large that no step of
     useful length lowers the loss.
+
+    ``simplex_tolerance`` (no simplex is left) and the 2000 default keep
+    their names and values because the benchmark's cross-table input digest
+    hashes ``repr(FitConfig)``; changing them means re-recording it.
     """
 
     starts: int = 16
@@ -132,27 +138,6 @@ class FitResult:
     converged: bool
 
 
-def _theta_from_unit(spec: Param, u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Map uniform draws in [0, 1) to parameter values in [lo, hi]."""
-    if spec.log_scale:
-        base = lo * (hi / lo) ** u
-    else:
-        base = lo + (hi - lo) * u
-    return 1.0 + base if spec.shifted else base
-
-
-def _z_from_theta(spec: Param, theta: np.ndarray) -> np.ndarray:
-    if spec.constraint == "free":
-        return +theta
-    return np.log(theta - spec.bound)
-
-
-def _theta_from_z(spec: Param, z: float) -> float:
-    if spec.constraint == "free":
-        return z
-    return spec.bound + math.exp(z)
-
-
 def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     """Seeded Latin-hypercube start points in unconstrained coordinates.
 
@@ -171,7 +156,8 @@ def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     u = np.vstack(blocks)[:starts]
     z = np.empty_like(u)
     for j, spec in enumerate(specs):
-        z[:, j] = _z_from_theta(spec, _theta_from_unit(spec, u[:, j], spec.lo, spec.hi))
+        theta = spec.from_unit(u[:, j], spec.lo, spec.hi)
+        z[:, j] = theta if spec.constraint == "free" else np.log(theta - spec.bound)
     return z
 
 
@@ -212,43 +198,13 @@ def _shapes(kind: ModelKind, Z: np.ndarray, grid: EvalGrid) -> np.ndarray:
     return np.exp(ls, out=ls)
 
 
-def _make_batch_loss(kind: ModelKind, observed: SampledSeries):
-    """Vectorized profiled-amplitude rms loss: (m, d) z-matrix -> (rms (m,),
-    grid-max-normalized shapes s (m, n)); the normal equations reuse s.
-
-    Row reductions use np.add.reduce along the rows (not BLAS) so each
-    row's value is independent of how many rows are evaluated together.
-    """
-    grid = EvalGrid(observed.xs)
-    ys = observed.ys
-    n = ys.size
-
-    def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # caller holds an errstate that silences the expected warnings
-        s = _shapes(kind, Z, grid)
-        tmp = s * ys
-        num = np.add.reduce(tmp, axis=1)
-        amp = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
-        np.divide(num, amp, out=amp)
-        np.maximum(amp, 0.0, out=amp)
-        r = np.multiply(amp[:, None], s, out=tmp)
-        np.square(np.subtract(ys, r, out=r), out=r)
-        out = np.add.reduce(r, axis=1)
-        out /= n
-        np.sqrt(out, out=out)
-        # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
-        return np.fmin(out, np.inf, out=out), s
-
-    return batch_rms
-
-
-def _profiled_amplitude(observed: SampledSeries, params: ShapeParams) -> float:
+def _profiled_amplitude(grid: EvalGrid, ys: np.ndarray, params: ShapeParams) -> float:
     """Closed-form least-squares amplitude, converted to the peak-normalized
     convention (the in-loop profile normalizes by the grid maximum)."""
-    ls = log_shape_on_grid(params, EvalGrid(observed.xs))
+    ls = log_shape_on_grid(params, grid)
     peak_grid = float(np.max(ls))
     s = np.exp(ls - peak_grid)
-    amp_grid = float((s * observed.ys).sum() / (s * s).sum())
+    amp_grid = float((s * ys).sum() / (s * s).sum())
     # in-loop shapes are normalized by the grid maximum; the true peak can
     # fall between grid points, so rescale to the peak-normalized convention
     return amp_grid * math.exp(_log_peak(params) - peak_grid)
@@ -270,29 +226,38 @@ def _partials(kind: ModelKind, Z: np.ndarray, s: np.ndarray, grid: EvalGrid) -> 
     return ds
 
 
-def _shape_and_partials(kind: ModelKind, Z: np.ndarray, grid: EvalGrid):
-    """(s, ds/dz) at a (m, d) z-matrix: the shapes as the batch loss
-    computes them, the partials as the normal equations do."""
-    s = _shapes(kind, Z, grid)
-    return s, _partials(kind, Z, s, grid)
-
-
-def _make_normal_equations(kind: ModelKind, observed: SampledSeries):
-    """Gauss-Newton normal equations of the profiled mean square residual:
-    ((k, d) z-matrix, its shapes s (k, n) as the batch loss returned them)
-    -> (J^T J / n (k, d, d), J^T r / n (k, d)).  Only the partials are
-    computed here; the family kernel is not evaluated again.
+def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
+    """(batch loss, normal equations) of the variable-projection fit of
+    ``kind`` to ys on grid.  The loss maps a (m, d) z-matrix to (profiled-
+    amplitude rms (m,), grid-max-normalized shapes s (m, n)); the normal
+    equations map (z-matrix (k, d), its shapes s (k, n) as the loss returned
+    them) to (J^T J / n (k, d, d), J^T r / n (k, d)), adding only partials.
 
     With the amplitude A = <s, y> / <s, s> profiled out, the residual is
     r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
     column j is (Golub & Pereyra 1973) -A P ds_j - s <ds_j, r> / <s, s>.
     Scaling s by its grid maximum adds a multiple of s to ds_j, which P
-    and <., r> both remove.  All reductions are np.add.reduce along rows,
-    so each row's result does not depend on which rows share the batch.
+    and <., r> both remove.  All reductions are np.add.reduce along rows
+    (not BLAS), so each row's result does not depend on which rows share
+    the batch.
     """
-    grid = EvalGrid(observed.xs)
-    ys = observed.ys
     n = ys.size
+
+    def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # caller holds an errstate that silences the expected warnings
+        s = _shapes(kind, Z, grid)
+        tmp = s * ys
+        num = np.add.reduce(tmp, axis=1)
+        amp = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
+        np.divide(num, amp, out=amp)
+        np.maximum(amp, 0.0, out=amp)
+        r = np.multiply(amp[:, None], s, out=tmp)
+        np.square(np.subtract(ys, r, out=r), out=r)
+        out = np.add.reduce(r, axis=1)
+        out /= n
+        np.sqrt(out, out=out)
+        # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
+        return np.fmin(out, np.inf, out=out), s
 
     def normal_equations(Z: np.ndarray, s: np.ndarray):
         ds = _partials(kind, Z, s, grid)
@@ -311,7 +276,7 @@ def _make_normal_equations(kind: ModelKind, observed: SampledSeries):
         jtr /= n
         return jtj, jtr
 
-    return normal_equations
+    return batch_rms, normal_equations
 
 
 def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -473,10 +438,9 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
             (),
         )
 
-    specs = FAMILIES[kind].params
+    grid = EvalGrid(observed.xs)
     zb, fb, iters, conv = _lm_lockstep(
-        _make_batch_loss(kind, observed),
-        _make_normal_equations(kind, observed),
+        *_projection(kind, grid, observed.ys),
         start_pool(kind, config.starts, config.seed),
         config.simplex_tolerance,
         min(config.max_iterations, _MAX_PASSES),
@@ -493,13 +457,15 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         )
 
     try:
-        theta = tuple(_theta_from_z(spec, float(zb[best, j])) for j, spec in enumerate(specs))
+        # the map the loss scored the winner with, so params are that point
+        with np.errstate(over="ignore"):
+            theta = _theta_rows(kind, zb[best : best + 1])[0][0]
         params = ShapeParams(kind, theta)
-        amplitude = _profiled_amplitude(observed, params)
+        amplitude = _profiled_amplitude(grid, observed.ys, params)
     except (OverflowError, ParameterBoundsError) as exc:
         # exact in real arithmetic, the z -> theta map can leave the family's
-        # bounds in float64 (1 + exp(z) rounds to 1); it, the mode and the
-        # amplitude rescale can also overflow
+        # bounds in float64 (1 + exp(z) rounds to 1, or exp(z) overflows);
+        # the mode and the amplitude rescale can also overflow
         raise FitFailureError(
             f"{kind.value} optimum is not representable in float64: {exc}", kind, start_losses
         ) from exc

@@ -311,7 +311,7 @@ class Param:
     theta = bound + exp(z), or theta = z for ``free``.  ``lo``/``hi``
     bound the fitter's start draws and ``gen`` the benchmark's generation
     draws, log-uniform when ``log_scale``; with ``shifted`` both ranges
-    apply to theta - 1.
+    apply to theta - 1.  ``from_unit`` maps uniform draws into either range.
     """
 
     name: str
@@ -326,6 +326,11 @@ class Param:
     def bound(self) -> float:
         """Lower bound of a constrained parameter: 0 or 1."""
         return _BOUNDS[self.constraint][0]
+
+    def from_unit(self, u, lo: float, hi: float):
+        """Map uniform draws u in [0, 1) into [lo, hi], shifted by 1 if ``shifted``."""
+        base = lo * (hi / lo) ** u if self.log_scale else lo + (hi - lo) * u
+        return 1.0 + base if self.shifted else base
 
 
 @dataclass(frozen=True)

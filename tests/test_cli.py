@@ -214,7 +214,7 @@ class TestBenchCommand:
         degraded = CrossTable(
             cells=tuple(tuple(cell for _ in range(5)) for _ in range(5)), degraded=True
         )
-        monkeypatch.setattr(cli, "cross_compare", lambda config: degraded)
+        monkeypatch.setattr(cli, "cross_compare", lambda config, workers: degraded)
         code, _, err = run(capsys, "bench", "--trials", "4", "--out", str(tmp_path / "t.csv"))
         assert code == 3
         assert "degraded" in err
@@ -256,6 +256,17 @@ class TestAuditCommand:
         monkeypatch.setattr(cli, "perturbation_audit", lambda *a, **k: fake)
         code, _, _ = run(capsys, "audit", "--model", "maxent", "--a", "2", "--b", "3")
         assert code == 4
+
+    @pytest.mark.parametrize("model,a,b", [("beta", "1e308", "3"), ("maxent", "1e-300", "1e300")])
+    def test_unnormalizable_shape_exits_one(self, capsys, model, a, b):
+        # the quadrature mass of these shapes is 0: one line, no nan
+        # report and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "audit", "--model", model, "--a", a, "--b", b)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "quadrature mass" in err
 
     def test_fewer_perturbations(self, capsys):
         code, out, _ = run(
@@ -365,3 +376,5 @@ class TestContract:
                 code = exc.code
         assert code in {0, 1, 2, 3, 4}, (argv, code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if argv[0] == "audit" and code == 0:
+            assert "nan" not in out.getvalue(), (argv, out.getvalue())

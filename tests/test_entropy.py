@@ -67,6 +67,14 @@ class TestEntropy:
         with pytest.raises(UnsupportedFamilyError):
             entropy_of(ShapeParams(ModelKind.RICHARDS, (5.0, 0.5, 1.0)))
 
+    @pytest.mark.parametrize("params", [beta(1e308, 3), maxent(1e-300, 1e300), beta(1.7e308, 1.7e308)])
+    @pytest.mark.filterwarnings("error")
+    def test_shape_without_quadrature_mass_raises(self, params):
+        # all the mass sits on nodes of zero weight, or the log shape is
+        # -inf at every node: no nan density, and no warning
+        with pytest.raises(ValueError, match="quadrature mass"):
+            entropy_of(params)
+
 
 class TestConstraintIntegrals:
     def test_unit_mass(self):

@@ -153,10 +153,13 @@ class TestFit:
         ShapeParams(kind, result.model.params.values)
 
     def test_all_starts_diverged_raises_with_diagnostics(self, monkeypatch):
-        def bad_loss_factory(kind, observed):
-            return lambda Z: (np.full(Z.shape[0], np.inf), np.full((Z.shape[0], len(observed)), np.nan))
+        projection = fitting._projection
 
-        monkeypatch.setattr(fitting, "_make_batch_loss", bad_loss_factory)
+        def bad_projection(kind, grid, ys):
+            _, normal = projection(kind, grid, ys)
+            return lambda Z: (np.full(Z.shape[0], np.inf), np.full((Z.shape[0], ys.size), np.nan)), normal
+
+        monkeypatch.setattr(fitting, "_projection", bad_projection)
         series = maxent_series(2, 2, n=32)
         with pytest.raises(FitFailureError) as err:
             fit(series, ModelKind.MAXENT, FitConfig(seed=0, max_iterations=5))
@@ -182,13 +185,9 @@ class TestSelfFitRecovery:
         assert (values < threshold).mean() >= 0.95
 
 
-def _lockstep_inputs(kind, series):
-    """(batch loss, normal equations, 16-start pool) as ``fit`` builds them at seed 0."""
-    return (
-        fitting._make_batch_loss(kind, series),
-        fitting._make_normal_equations(kind, series),
-        start_pool(kind, 16, 0),
-    )
+def _lockstep_inputs(kind, series, seed=0):
+    """(batch loss, normal equations, 16-start pool) as ``fit`` builds them."""
+    return (*fitting._projection(kind, EvalGrid(series.xs), series.ys), start_pool(kind, 16, seed))
 
 
 @pytest.fixture(scope="module")
@@ -316,22 +315,36 @@ class TestLockstep:
                 partials=counted("partials", family.partials),
             ),
         )
-        for factory, name in ((fitting._make_batch_loss, "loss"), (fitting._make_normal_equations, "normal")):
+        projection = fitting._projection
 
-            def logged_factory(k, observed, factory=factory, name=name):
-                inner = factory(k, observed)
-
-                def logged(Z, *args):
+        def logged_projection(*args):
+            def logged(name, inner):
+                def call(Z, *rest):
                     rows[name] += Z.shape[0]
-                    return inner(Z, *args)
+                    return inner(Z, *rest)
 
-                return logged
+                return call
 
-            monkeypatch.setattr(fitting, factory.__name__, logged_factory)
+            loss, normal = projection(*args)
+            return logged("loss", loss), logged("normal", normal)
+
+        monkeypatch.setattr(fitting, "_projection", logged_projection)
         fit(lockstep_series["universe25"], kind, FitConfig(seed=0))
         assert rows["normal"] >= 16 and rows["loss"] > rows["normal"]
         assert rows["kernel"] == rows["loss"]
         assert rows["partials"] == rows["normal"]
+
+    @pytest.mark.parametrize(
+        "name,kind,seed", [("universe25", ModelKind.MAXENT, 0), ("st_matthew", ModelKind.RICHARDS, 3)]
+    )
+    def test_fit_returns_the_parameters_it_scored(self, name, kind, seed):
+        # the winning start's z under the loss's own z -> theta map; a
+        # scalar copy of the map (math.exp) is one ulp off on these fits
+        series = normalize(load_series(bundled_dataset_path(name)))[0]
+        loss, normal, Z0 = _lockstep_inputs(kind, series, seed)
+        z, F, _, _ = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
+        scored = fitting._theta_rows(kind, z[np.argmin(F)][None])[0][0]
+        assert tuple(map(float, scored)) == fit(series, kind, FitConfig(seed=seed)).model.params.values
 
     def test_singular_row_does_not_stop_the_others(self, lockstep_series):
         # start 3's normal equations are all zeros, so its damped matrix is
@@ -424,11 +437,11 @@ class TestPartials:
         specs = FAMILIES[kind].params
         Z = start_pool(kind, 8, seed=17)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s, ds = fitting._shape_and_partials(kind, Z, grid)
+            s = fitting._shapes(kind, Z, grid)
+            ds = fitting._partials(kind, Z, s, grid)
 
             def log_shape(z):
-                theta = [fitting._theta_from_z(spec, v) for spec, v in zip(specs, z)]
-                return FAMILIES[kind].kernel(*theta, grid)
+                return FAMILIES[kind].kernel(*fitting._theta_rows(kind, z[None])[0][0], grid)
 
             for i, z in enumerate(Z):
                 peak = log_shape(z).max()  # the normalization of s at z
@@ -467,8 +480,9 @@ class TestStartPool:
     def test_within_documented_ranges(self):
         for kind, family in FAMILIES.items():
             pool = start_pool(kind, 16, seed=1)
+            thetas = fitting._theta_rows(kind, pool)[0]
             for j, spec in enumerate(family.params):
-                theta = [fitting._theta_from_z(spec, z) for z in pool[:, j]]
+                theta = thetas[:, j]
                 lo = 1.0 + spec.lo if spec.shifted else spec.lo
                 hi = 1.0 + spec.hi if spec.shifted else spec.hi
                 assert min(theta) >= lo - 1e-9
