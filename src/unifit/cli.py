@@ -234,11 +234,15 @@ def _run_audit(args) -> int:
         return EXIT_USAGE
     kind = ModelKind.from_string(args.model)
     quad = QuadratureSpec()
+    boundary_beta = kind is ModelKind.BETA and (args.a <= 1.0 or args.b <= 1.0)
     try:
         params = ShapeParams(kind, (args.a, args.b))
         h = entropy_of(params, quad)
         c1, c2, c3 = constraint_integrals(params, quad)
-    except ValueError as exc:  # out of bounds, or a shape the quadrature cannot normalize
+        if not boundary_beta:
+            report = perturbation_audit(params, quad, trials=args.perturbations, seed=args.seed)
+    except ValueError as exc:
+        # out of bounds, or a shape the quadrature cannot normalize or audit
         print(f"unifit audit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"model {kind.value} a={args.a:g} b={args.b:g}")
@@ -248,11 +252,9 @@ def _run_audit(args) -> int:
     print(f"C2: {c2:.10g}")
     print(f"C3: {c3:.10g}")
 
-    boundary_beta = kind is ModelKind.BETA and (args.a <= 1.0 or args.b <= 1.0)
     if boundary_beta:
         print("perturbations: skipped (beta boundary exponents are unaudited)")
         return EXIT_OK
-    report = perturbation_audit(params, quad, trials=args.perturbations, seed=args.seed)
     print(
         f"perturbations: trials={report.perturbation_trials} "
         f"failures={report.perturbation_failures} "

@@ -45,6 +45,12 @@ _PERTURBATION_SCALE = 1e-3  # sup-norm of delta relative to max p
 _FAILURE_MARGIN = 1e-9
 _POLY_DEGREE = 8
 _MAX_REDRAWS = 10
+# A constraint row whose Gram-Schmidt remainder is at most sqrt(eps) of its
+# own norm depends numerically on the rows before it (classical Gram-Schmidt
+# loses orthogonality like eps * kappa^2).  In a sweep of 5000 shapes every
+# audit below it failed spuriously or skipped every trial, bar 7 clean ones
+# whose remainder, below 1e-16, was rounding noise.
+_DEPENDENT_ROW = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class UnsupportedFamilyError(ValueError):
@@ -176,7 +182,10 @@ def perturbation_audit(
     further if needed to keep p + delta >= 0.  A trial fails when
     H(p + delta) exceeds H(p) by more than 1e-9; a true maximizer yields
     zero failures.  Numerically degenerate perturbations are redrawn up
-    to 10 times and then counted as skipped, not failed.
+    to 10 times and then counted as skipped, not failed.  A shape whose
+    three constraint functionals are numerically dependent on the
+    perturbation basis (a spike on a few quadrature nodes) raises
+    ``ValueError``: it cannot be audited.
     """
     _require_entropy_family(params)
     if params.kind is ModelKind.BETA and (params.values[0] <= 1.0 or params.values[1] <= 1.0):
@@ -204,7 +213,13 @@ def perturbation_audit(
         v = M[k].copy()
         for r in rows:
             v -= (v @ r) * r
-        rows.append(v / np.linalg.norm(v))
+        norm = np.linalg.norm(v)
+        if not norm > _DEPENDENT_ROW * np.linalg.norm(M[k]):  # also NaN
+            raise ValueError(
+                f"{params.kind.value} {params.named()} cannot be audited: constraint "
+                f"{k + 1} is numerically dependent on the ones before it"
+            )
+        rows.append(v / norm)
     R = np.stack(rows)
 
     peak = float(p.max())

@@ -1,11 +1,14 @@
 """Nonlinear least-squares fitting of the model families.
 
 The optimizer is Levenberg-Marquardt with analytic derivatives, run in
-unconstrained coordinates: positive parameters go through a log
-transform, lower-bounded ones through a shifted log, free ones are
-identity-mapped, so in exact arithmetic every point a step can reach maps
-to valid shape parameters (in float64 the map can round onto a bound or
-overflow; ``fit`` then raises ``FitFailureError``).  The amplitude is
+unconstrained coordinates z.  A family with coupled ``coords`` in
+``models.FAMILIES`` (gengamma: log mode, log of the log-space curvature
+and a shifted log of the power) maps z with them, and its partials are
+taken in z; in the others positive parameters go through a log
+transform, lower-bounded ones through a shifted log, and free ones are
+identity-mapped.  In exact arithmetic every point a step can reach maps
+to valid shape parameters (in float64 the map can round onto a bound,
+underflow or overflow; ``fit`` then raises ``FitFailureError``).  The amplitude is
 profiled out analytically at every loss evaluation (closed-form 1-D
 least squares against the unit-peak shape), which drops the search to at
 most three dimensions; the remaining separable problem is solved by
@@ -153,11 +156,15 @@ def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
         for j in range(d):
             u[:, j] = (rng.permutation(_START_BLOCK) + rng.random(_START_BLOCK)) / _START_BLOCK
         blocks.append(u)
-    u = np.vstack(blocks)[:starts]
-    z = np.empty_like(u)
+    theta = np.vstack(blocks)[:starts]  # uniform draws, mapped in place
     for j, spec in enumerate(specs):
-        theta = spec.from_unit(u[:, j], spec.lo, spec.hi)
-        z[:, j] = theta if spec.constraint == "free" else np.log(theta - spec.bound)
+        theta[:, j] = spec.from_unit(theta[:, j], spec.lo, spec.hi)
+    coords = FAMILIES[kind].coords
+    if coords is not None:
+        return coords[1](theta)
+    z = np.empty_like(theta)
+    for j, spec in enumerate(specs):
+        z[:, j] = theta[:, j] if spec.constraint == "free" else np.log(theta[:, j] - spec.bound)
     return z
 
 
@@ -181,9 +188,13 @@ def _z_columns(kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
     return free, offsets
 
 
-def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(theta, exp(z)) for a (m, d) z-matrix; exp(z) is dtheta/dz outside
-    the free columns."""
+    the free columns.  For a family with coupled ``coords`` it is (theta,
+    None): its partials are already taken in z."""
+    coords = FAMILIES[kind].coords
+    if coords is not None:
+        return coords[0](Z), None
     free, offsets = _z_columns(kind)
     ez = np.exp(Z)
     theta = ez + offsets
@@ -218,7 +229,9 @@ def _partials(kind: ModelKind, Z: np.ndarray, s: np.ndarray, grid: EvalGrid) -> 
     ds = np.empty(Z.shape + s.shape[1:])
     for j, dls in enumerate(FAMILIES[kind].partials(*theta.T[:, :, None], grid)):
         np.multiply(s, dls, out=ds[:, j])
-        if not free[j]:  # dtheta/dz is exactly 1 in a free column
+        # dtheta/dz is exactly 1 in a free column, and None when the
+        # partials are already in z
+        if dtheta is not None and not free[j]:
             ds[:, j] *= dtheta[:, j, None]
     # s * dls is 0 * inf (NaN) at an endpoint where the shape vanishes
     if not s.all():
@@ -464,8 +477,8 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         amplitude = _profiled_amplitude(grid, observed.ys, params)
     except (OverflowError, ParameterBoundsError) as exc:
         # exact in real arithmetic, the z -> theta map can leave the family's
-        # bounds in float64 (1 + exp(z) rounds to 1, or exp(z) overflows);
-        # the mode and the amplitude rescale can also overflow
+        # bounds in float64 (1 + exp(z) rounds to 1, or exp(z) overflows or
+        # underflows); the mode and the amplitude rescale can also overflow
         raise FitFailureError(
             f"{kind.value} optimum is not representable in float64: {exc}", kind, start_losses
         ) from exc

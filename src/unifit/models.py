@@ -243,9 +243,10 @@ def _ls_gengamma(alpha, d, p, grid: EvalGrid):
 
 # --- partials of the log shape -------------------------------------------
 #
-# d log s / d theta_j for every shape parameter, broadcasting like the
-# kernels.  Entries may be infinite or NaN where the shape is exactly zero
-# (an endpoint); callers multiply by s and zero those points.
+# d log s / d theta_j for every shape parameter (d log s / d z_j for a
+# family with coupled coords), broadcasting like the kernels.  Entries may
+# be infinite or NaN where the shape is exactly zero (an endpoint); callers
+# multiply by s and zero those points.
 
 def _dls_maxent(a, b, grid: EvalGrid):
     return -grid.inv_x, -grid.inv_omx
@@ -273,9 +274,41 @@ def _dls_skewnormal(xi, omega, alpha, grid: EvalGrid):
 
 
 def _dls_gengamma(alpha, d, p, grid: EvalGrid):
+    # d log s / dz in the coordinates of _gengamma_z, not d log s / d theta
     t = grid.log_x - np.log(alpha)
     e = np.exp(p * t)  # (x / alpha)**p
-    return e * (p / alpha), grid.log_x, -e * t
+    dm1 = d - 1.0
+    # log(x* / alpha) = (z2 - 2 log p) / p = log((d - 1) / p) / p
+    dz3 = e * ((np.log(dm1 / p) + 2.0) / p - t) - (dm1 / p) * grid.log_x
+    return p * e, dm1 * grid.log_x - e, (p - _GENGAMMA_P_MIN) * dz3
+
+
+# --- coupled z <-> theta maps ---------------------------------------------
+#
+# Gengamma's ridge alpha -> 0, d -> inf at a fixed mode and log-space
+# curvature (it tends to a log-normal bump as p -> 0) is a long crawl in
+# per-parameter logs; in z = (log x*, log c, log(p - p_min)), x* =
+# alpha ((d-1)/p)^(1/p) the unclamped mode and c = p (d-1), it is a walk
+# along z3 alone (Prentice 1974 makes the log-normal limit a finite point
+# the same way).  The floor p_min keeps alpha a normal float: for p >=
+# 0.05, log alpha >= z1 - max(0, 20 z2 + 120), above -708 for any c below
+# about e^28.
+
+_GENGAMMA_P_MIN = 0.05
+
+
+def _gengamma_theta(Z: np.ndarray) -> np.ndarray:
+    z1, z2, z3 = Z.T
+    p = _GENGAMMA_P_MIN + np.exp(z3)
+    return np.stack([np.exp(z1 - (z2 - 2.0 * np.log(p)) / p), 1.0 + np.exp(z2) / p, p], axis=1)
+
+
+def _gengamma_z(theta: np.ndarray) -> np.ndarray:
+    alpha, d, p = theta.T
+    dm1 = d - 1.0
+    return np.stack(
+        [np.log(alpha) + np.log(dm1 / p) / p, np.log(p * dm1), np.log(p - _GENGAMMA_P_MIN)], axis=1
+    )
 
 
 def _mode_maxent(a, b):
@@ -307,8 +340,9 @@ class Param:
     """One shape parameter: its bound and the ranges it is drawn from.
 
     ``constraint`` is the bound (``pos``: > 0, ``ge1``: >= 1, ``gt1``:
-    > 1, ``free``: none) and picks the fitter's unconstrained coordinate:
-    theta = bound + exp(z), or theta = z for ``free``.  ``lo``/``hi``
+    > 1, ``free``: none) and, unless the family has coupled ``coords``,
+    picks the fitter's unconstrained coordinate: theta = bound + exp(z),
+    or theta = z for ``free``.  ``lo``/``hi``
     bound the fitter's start draws and ``gen`` the benchmark's generation
     draws, log-uniform when ``log_scale``; with ``shifted`` both ranges
     apply to theta - 1.  ``from_unit`` maps uniform draws into either range.
@@ -338,8 +372,11 @@ class Family:
     """Everything the package knows about one model family.
 
     ``partials`` gives d log s / d theta_j for each parameter, broadcasting
-    like ``kernel``; ``mode`` is the analytic peak location (None: numeric
-    argmax);
+    like ``kernel``.  ``coords`` is the fitter's unconstrained coordinate
+    map, (z -> theta, theta -> z) on (m, d) matrices, when it couples the
+    parameters; ``partials`` then gives d log s / d z_j instead.  None:
+    each ``Param`` maps its own column.  ``mode`` is the analytic peak
+    location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
     audit's constraint integrals (None: the family is not audited).
     """
@@ -352,6 +389,7 @@ class Family:
     params: tuple[Param, ...]
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
+    coords: tuple[Callable, Callable] | None = None
 
 
 # Generation ranges emphasize each family's characteristic geometry within
@@ -384,7 +422,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
          Param("d", "gt1", 1.1, 30.0, (1.1, 30.0), True),
          Param("p", "pos", 0.3, 10.0, (0.5, 3.0), True)),
-        mode=_mode_gengamma,
+        mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z),
     ),
     ModelKind.MAXENT: Family(
         "MaxEnt", "#d62728", _ls_maxent, _dls_maxent,

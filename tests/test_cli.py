@@ -268,6 +268,17 @@ class TestAuditCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and "quadrature mass" in err
 
+    @pytest.mark.parametrize("model,a,b", [("maxent", "1e8", "1e8"), ("beta", "1e6", "1e6")])
+    def test_unauditable_shape_exits_one(self, capsys, model, a, b):
+        # the constraints of these spikes are numerically dependent: one
+        # line, where a vacuous or spurious audit report used to be
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "audit", "--model", model, "--a", a, "--b", b)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "numerically dependent" in err
+
     def test_fewer_perturbations(self, capsys):
         code, out, _ = run(
             capsys,

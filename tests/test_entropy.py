@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ class TestPerturbationAudit:
             a, b = np.exp(rng.uniform(np.log(lo), np.log(20.0), 2))
             report = perturbation_audit(ShapeParams(kind, (a, b)), trials=100, seed=i)
             assert report.perturbation_failures == 0, (kind, a, b)
+
+    @pytest.mark.parametrize(
+        "kind,a,b",
+        [(ModelKind.MAXENT, 1e8, 1e8), (ModelKind.MAXENT, 1.0, 1e15), (ModelKind.BETA, 1e6, 1e6)],
+        ids=str,
+    )
+    def test_dependent_constraints_raise(self, kind, a, b):
+        # spikes a few quadrature nodes wide: a constraint row vanishes in
+        # Gram-Schmidt, which used to skip every trial (a zero row) or fail
+        # them spuriously, with a RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="numerically dependent"):
+                perturbation_audit(ShapeParams(kind, (a, b)), trials=10, seed=0)
 
     def test_beta_boundary_exponent_rejected(self):
         with pytest.raises(ValueError, match="unaudited"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from unifit import (
 import unifit.fitting as fitting
 from unifit.bench import BenchConfig, _trial_series
 from unifit.fitting import start_pool
-from unifit.models import FAMILIES, EvalGrid
+from unifit.models import _GENGAMMA_P_MIN, FAMILIES, EvalGrid
 
 
 def maxent_series(a, b, n=101):
@@ -119,18 +120,33 @@ class TestFit:
             ShapeParams(kind, result.model.params.values)
 
     def test_passes_capped_at_200(self):
-        # gengamma fitting a seed-1 benchmark richards series: some starts
-        # crawl along a ridge, still improving, to the cap
-        series = _trial_series(BenchConfig(seed=1), 0, 1)
-        capped = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=200))
-        wider = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=5000))
-        tighter = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0, max_iterations=199))
+        # skewnormal fitting a seed-1 benchmark richards series: one start
+        # crawls along a ridge, still improving, to the cap
+        series = _trial_series(BenchConfig(seed=1), 0, 5)
+        capped = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=200))
+        wider = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=5000))
+        tighter = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=0, max_iterations=199))
         assert wider == capped
         assert tighter.iterations_used < capped.iterations_used
 
+    def test_gengamma_ridge_walk_ends_at_the_power_floor(self):
+        # the series whose gengamma starts crawled to the pass cap in
+        # per-parameter logs: with the mode and the log-space curvature
+        # held, p walks to its floor, where alpha must still be a normal
+        # float (without the floor it underflows toward 0)
+        series = _trial_series(BenchConfig(seed=1), 0, 1)
+        result = fit(series, ModelKind.GENGAMMA, FitConfig(seed=0))
+        alpha, _, p = result.model.params.values
+        assert result.converged and result.iterations_used < 300
+        assert p == pytest.approx(_GENGAMMA_P_MIN, abs=1e-6)
+        assert alpha >= sys.float_info.min
+        # 0.0101182 in per-parameter logs, stopped at the cap
+        assert result.rms < 0.0101
+
     def test_flat_series_unrepresentable_optimum_is_fit_failure(self):
-        # the optimizer drives gengamma's d toward 1, where 1 + exp(z)
-        # rounds to exactly 1.0 and leaves the family's bounds
+        # one step flattens gengamma's shape (p and alpha near 1e13, zero
+        # loss), where d = 1 + c / p rounds to exactly 1.0 and leaves the
+        # family's bounds
         series = SampledSeries(np.linspace(0.02, 0.98, 10), np.ones(10))
         with pytest.raises(FitFailureError) as err:
             fit(series, ModelKind.GENGAMMA, FitConfig(seed=1))
@@ -476,6 +492,17 @@ class TestStartPool:
         for j, spec in enumerate(specs):
             u = (pool[:, j] - math.log(spec.lo)) / (math.log(spec.hi) - math.log(spec.lo))
             assert sorted(np.floor(u * 16).astype(int)) == list(range(16))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_gengamma_draws_round_trip(self, seed, monkeypatch):
+        # the coupled map starts from the same theta draws as per-parameter
+        # logs would, and theta -> z -> theta gives them back
+        kind = ModelKind.GENGAMMA
+        coupled = start_pool(kind, 64, seed)
+        monkeypatch.setitem(FAMILIES, kind, dataclasses.replace(FAMILIES[kind], coords=None))
+        draws = fitting._theta_rows(kind, start_pool(kind, 64, seed))[0]
+        monkeypatch.undo()
+        np.testing.assert_allclose(fitting._theta_rows(kind, coupled)[0], draws, rtol=1e-12, atol=0)
 
     def test_within_documented_ranges(self):
         for kind, family in FAMILIES.items():
