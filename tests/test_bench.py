@@ -120,6 +120,24 @@ class TestCrossCompare:
             ]
             assert table.cells[f][g].mean_rms == pytest.approx(float(np.mean(worst)))
 
+    def test_one_fit_call_per_fit(self, monkeypatch):
+        # perfbench times the cross-table fits by wrapping unifit.bench.fit
+        # (CrossTable.instrument in perfbench/workloads.py), so its timing
+        # statistics need cross_compare to call it once per fit
+        cfg = BenchConfig(trials_per_cell=1, seed=1)
+        plain = cross_compare(cfg)
+        real_fit = bench.fit
+        calls = []
+
+        def counted_fit(series, kind, config):
+            calls.append(kind)
+            return real_fit(series, kind, config)
+
+        monkeypatch.setattr(bench, "fit", counted_fit)
+        assert cross_compare(cfg) == plain
+        assert len(calls) == 25
+        assert all(calls.count(kind) == 5 for kind in KIND_ORDER)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         cfg = BenchConfig(trials_per_cell=1, seed=1, fit=FitConfig(seed=1))

@@ -1,0 +1,54 @@
+"""tools/census.py: a census repeats exactly, and compare reads changes."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+
+
+@pytest.fixture(scope="module")
+def census():
+    spec = importlib.util.spec_from_file_location("census", CENSUS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def one_trial(census, tmp_path_factory):
+    """Two runs of the seed-1 census at trials=1, as written to disk."""
+    out = []
+    for name in ("a.json", "b.json"):
+        path = tmp_path_factory.mktemp("census") / name
+        assert census.main(["run", "--seed", "1", "--trials", "1", "--out", str(path)]) == 0
+        out.append(json.loads(path.read_text(encoding="utf-8")))
+    return out
+
+
+def test_reruns_agree(census, one_trial):
+    a, b = one_trial
+    assert a == b and len(a["fits"]) == 25
+    for row in census.compare(a, b).values():
+        assert row["passes"][0] == row["passes"][1] > 0
+        assert row["converged"][0] == row["converged"][1]
+        assert row["worse"] == row["better"] == [] and row["switched"] == 0
+
+
+def test_compare_counts_changes(census, one_trial):
+    a = one_trial[0]
+    b = copy.deepcopy(a)
+    round_off, worse, failed = b["fits"][:3]
+    worse["rms"] *= 1.5
+    failed.update(rms=None, failed=True)
+    round_off["rms"] += 1e-10  # a near-zero self-fit's round-off
+    summary = census.compare(a, b)
+    assert summary[worse["fitter"]]["worse"] == [(worse["generator"], 0, pytest.approx(1.5))]
+    assert summary[failed["fitter"]]["switched"] == 1
+    assert sum(len(row["worse"]) + len(row["better"]) for row in summary.values()) == 1
+    assert f"worse: {worse['fitter']} on {worse['generator']} trial 0" in census.report(summary)
+    with pytest.raises(ValueError, match="different fits"):
+        census.compare(a, {"fits": a["fits"][1:]})

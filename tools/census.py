@@ -1,0 +1,172 @@
+"""Fit census of the cross-comparison benchmark, and a comparison of two.
+
+    PYTHONPATH=src python tools/census.py run --seed 1 --trials 100 --out before.json
+    PYTHONPATH=src python tools/census.py compare before.json after.json
+
+``run`` makes every fit of ``unifit bench --trials T --seed S`` (each
+generator, trial and fitter), one ``fit()`` at a time with the benchmark's
+own series and fit seeds, and records for each: its rms, ``converged``,
+``iterations_used`` (passes summed over the starts), its lockstep passes
+(passes of the lockstep loop, which are those of its longest-running
+start) and whether it raised ``FitFailureError``.  The package measured is
+the one on the import path, so one copy of this script can census two
+checkouts.
+
+``compare`` prints, per fitter, the change in lockstep passes, the fits
+more than 1% worse or better (a difference of at most 1e-9 in rms is
+round-off on near-zero self-fits and is ignored), the fits that switched
+between a result and ``FitFailureError``, and the winners that converged;
+then each fit more than 1% worse or better.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from contextlib import contextmanager
+
+import unifit.fitting as fitting
+from unifit import KIND_ORDER, BenchConfig, FitConfig, FitFailureError, fit
+from unifit._seeds import mix64
+from unifit.bench import _FIT_TAG, _trial_series
+
+#: A fit is worse (better) when its rms exceeds (falls below) the other's
+#: by more than this share of it.
+SHARE = 0.01
+#: Differences in rms at most this large are round-off, not a change.
+ROUND_OFF = 1e-9
+
+
+@contextmanager
+def _lockstep_passes(log: list[int]):
+    """Append the lockstep passes of every ``_lm_lockstep`` run to log."""
+    inner = fitting._lm_lockstep
+
+    def counted(*args):
+        out = inner(*args)
+        log.append(int(out[2].max()))
+        return out
+
+    fitting._lm_lockstep = counted
+    try:
+        yield
+    finally:
+        fitting._lm_lockstep = inner
+
+
+def run(seed: int, trials: int) -> dict:
+    """The census of ``unifit bench --trials trials --seed seed``."""
+    config = BenchConfig(trials_per_cell=trials, seed=seed, fit=FitConfig(seed=seed))
+    fits = []
+    log: list[int] = []
+    with _lockstep_passes(log):
+        for g, generator in enumerate(KIND_ORDER):
+            for trial in range(trials):
+                series = _trial_series(config, g, trial)
+                for f, fitter in enumerate(KIND_ORDER):
+                    log.clear()
+                    record = {"generator": generator.value, "trial": trial, "fitter": fitter.value}
+                    try:
+                        # the fit seed bench._trial_rms draws
+                        fit_seed = mix64(seed, _FIT_TAG, g, trial, f)
+                        result = fit(series, fitter, FitConfig(seed=fit_seed))
+                    except FitFailureError:
+                        record.update(rms=None, converged=False, iterations_used=None, failed=True)
+                    else:
+                        record.update(
+                            rms=result.rms,
+                            converged=result.converged,
+                            iterations_used=result.iterations_used,
+                            failed=False,
+                        )
+                    record["passes"] = sum(log)
+                    fits.append(record)
+    return {"seed": seed, "trials": trials, "fits": fits}
+
+
+def _key(record: dict) -> tuple:
+    return record["generator"], record["trial"], record["fitter"]
+
+
+def compare(a: dict, b: dict) -> dict:
+    """Per-fitter summary of census b against census a, which must cover
+    the same fits: {fitter: {passes, worse, better, switched, converged}},
+    where passes and converged are (a, b) pairs and worse and better list
+    (generator, trial, rms ratio b / a)."""
+    before = {_key(r): r for r in a["fits"]}
+    after = {_key(r): r for r in b["fits"]}
+    if before.keys() != after.keys():
+        raise ValueError("the censuses cover different fits (seed or trials differ)")
+    out = {
+        kind.value: {"passes": [0, 0], "worse": [], "better": [], "switched": 0, "converged": [0, 0]}
+        for kind in KIND_ORDER
+    }
+    for key, ra in before.items():
+        rb = after[key]
+        row = out[key[2]]
+        for i, r in enumerate((ra, rb)):
+            row["passes"][i] += r["passes"]
+            row["converged"][i] += r["converged"]
+        if ra["failed"] != rb["failed"]:
+            row["switched"] += 1
+        elif not ra["failed"] and abs(rb["rms"] - ra["rms"]) > ROUND_OFF:
+            where = (key[0], key[1], rb["rms"] / ra["rms"] if ra["rms"] > 0.0 else float("inf"))
+            if rb["rms"] > (1.0 + SHARE) * ra["rms"]:
+                row["worse"].append(where)
+            elif ra["rms"] > (1.0 + SHARE) * rb["rms"]:
+                row["better"].append(where)
+    return out
+
+
+def _change(pair) -> str:
+    a, b = pair
+    share = f" ({(b - a) / a:+.1%})" if a else ""
+    return f"{a} -> {b}{share}"
+
+
+def report(summary: dict) -> str:
+    lines = [f"{'fitter':<11} {'lockstep passes':<32} worse better switched converged"]
+    total = {"passes": [0, 0], "worse": [], "better": [], "switched": 0, "converged": [0, 0]}
+    for name, row in list(summary.items()) + [("all", total)]:
+        if name != "all":
+            for field in ("passes", "converged"):
+                total[field] = [t + v for t, v in zip(total[field], row[field])]
+            total["worse"] += row["worse"]
+            total["better"] += row["better"]
+            total["switched"] += row["switched"]
+        lines.append(
+            f"{name:<11} {_change(row['passes']):<32} {len(row['worse']):>5} "
+            f"{len(row['better']):>6} {row['switched']:>8} "
+            f"{row['converged'][0]} -> {row['converged'][1]}"
+        )
+    for name, row in summary.items():
+        for label in ("worse", "better"):
+            for generator, trial, ratio in row[label]:
+                lines.append(f"{label}: {name} on {generator} trial {trial}: rms x{ratio:.4g}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="fit every benchmark fit and write the census")
+    p_run.add_argument("--seed", type=int, required=True)
+    p_run.add_argument("--trials", type=int, required=True)
+    p_run.add_argument("--out", required=True)
+    p_cmp = sub.add_parser("compare", help="compare census B against census A")
+    p_cmp.add_argument("a")
+    p_cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(run(args.seed, args.trials), fh, indent=1)
+            fh.write("\n")
+        return 0
+    with open(args.a, encoding="utf-8") as fa, open(args.b, encoding="utf-8") as fb:
+        print(report(compare(json.load(fa), json.load(fb))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
