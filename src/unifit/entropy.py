@@ -45,11 +45,12 @@ _PERTURBATION_SCALE = 1e-3  # sup-norm of delta relative to max p
 _FAILURE_MARGIN = 1e-9
 _POLY_DEGREE = 8
 _MAX_REDRAWS = 10
-# A constraint row whose Gram-Schmidt remainder is at most sqrt(eps) of its
-# own norm depends numerically on the rows before it (classical Gram-Schmidt
-# loses orthogonality like eps * kappa^2).  In a sweep of 5000 shapes every
-# audit below it failed spuriously or skipped every trial, bar 7 clean ones
-# whose remainder, below 1e-16, was rounding noise.
+# A constraint row whose part orthogonal to the rows before it (|R[k, k]|
+# of the QR factorization) is at most sqrt(eps) of its own norm counts as
+# numerically dependent on them.  The threshold comes from a sweep of 5000
+# shapes made with classical Gram-Schmidt, whose remainder is the same
+# quantity: every audit below it failed spuriously or skipped every trial,
+# bar 7 clean ones whose remainder, below 1e-16, was rounding noise.
 _DEPENDENT_ROW = float(np.sqrt(np.finfo(np.float64).eps))
 
 
@@ -177,9 +178,9 @@ def perturbation_audit(
     Each trial multiplies the density by a random polynomial of degree
     <= 8 (so the perturbation vanishes wherever p does and p + delta can
     stay nonnegative), projects the coefficients onto the null space of
-    the three constraint functionals via quadrature inner products and
-    Gram-Schmidt, and rescales to a sup norm of 1e-3 * max p, shrinking
-    further if needed to keep p + delta >= 0.  A trial fails when
+    the three constraint functionals via quadrature inner products and a
+    Householder QR factorization, and rescales to a sup norm of 1e-3 *
+    max p, shrinking further if needed to keep p + delta >= 0.  A trial fails when
     H(p + delta) exceeds H(p) by more than 1e-9; a true maximizer yields
     zero failures.  Numerically degenerate perturbations are redrawn up
     to 10 times and then counted as skipped, not failed.  A shape whose
@@ -207,20 +208,16 @@ def perturbation_audit(
     constraints = np.stack([np.ones_like(grid.xs), f, g])
     M = (constraints * w) @ V.T
 
-    # orthonormalize the constraint rows (classical Gram-Schmidt)
-    rows = []
+    # orthonormal basis Q of the constraint rows (Householder QR: classical
+    # Gram-Schmidt lost orthogonality on spiked shapes, and the constraint
+    # residual it left raised H at first order, failing true maximizers)
+    Q, R = np.linalg.qr(M.T)
     for k in range(M.shape[0]):
-        v = M[k].copy()
-        for r in rows:
-            v -= (v @ r) * r
-        norm = np.linalg.norm(v)
-        if not norm > _DEPENDENT_ROW * np.linalg.norm(M[k]):  # also NaN
+        if not abs(R[k, k]) > _DEPENDENT_ROW * np.linalg.norm(M[k]):  # also NaN
             raise ValueError(
                 f"{params.kind.value} {params.named()} cannot be audited: constraint "
                 f"{k + 1} is numerically dependent on the ones before it"
             )
-        rows.append(v / norm)
-    R = np.stack(rows)
 
     peak = float(p.max())
     target = _PERTURBATION_SCALE * peak
@@ -231,7 +228,7 @@ def perturbation_audit(
         for redraw in range(_MAX_REDRAWS + 1):
             rng = np.random.default_rng(mix64(seed, _AUDIT_TAG, trial, redraw))
             c = rng.standard_normal(_POLY_DEGREE + 1)
-            c -= R.T @ (R @ c)
+            c -= Q @ (Q.T @ c)
             cand = c @ V
             norm = float(np.max(np.abs(cand)))
             if norm > 1e-12 * peak:

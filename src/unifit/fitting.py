@@ -1,21 +1,17 @@
 """Nonlinear least-squares fitting of the model families.
 
 The optimizer is Levenberg-Marquardt with analytic derivatives, run in
-unconstrained coordinates z.  A family with coupled ``coords`` in
-``models.FAMILIES`` (gengamma: log mode, log of the log-space curvature
-and a shifted log of the power) maps z with them, and its partials are
-taken in z; in the others positive parameters go through a log
-transform, lower-bounded ones through a shifted log, and free ones are
-identity-mapped.  In exact arithmetic every point a step can reach maps
-to valid shape parameters (in float64 the map can round onto a bound,
-underflow or overflow; ``fit`` then raises ``FitFailureError``).  The amplitude is
-profiled out analytically at every loss evaluation (closed-form 1-D
-least squares against the unit-peak shape), which drops the search to at
-most three dimensions; the remaining separable problem is solved by
-variable projection (Golub & Pereyra 1973): Gauss-Newton steps on the
-projected residual, with Marquardt damping.  ``_theta_rows`` is the one
-z -> theta map: the loss, the partials and ``fit``'s report of the winning
-start all use it, so ``fit`` returns the parameters whose rms it reports.
+the unconstrained coordinates z of each family's ``coords`` in
+``models.FAMILIES``.  In exact arithmetic every point a step can reach
+maps to valid shape parameters (in float64 the map can round onto a
+bound, underflow or overflow; ``fit`` then raises ``FitFailureError``).
+The amplitude is profiled out analytically at every loss evaluation
+(closed-form 1-D least squares against the unit-peak shape), which drops
+the search to at most three dimensions; the remaining separable problem
+is solved by variable projection (Golub & Pereyra 1973): Gauss-Newton
+steps on the projected residual, with Marquardt damping.  The loss, the
+partials and ``fit``'s report of the winning start all map z to theta by
+those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 
 Multi-start: initial points come from a seeded Latin hypercube over the
 per-family start ranges in ``models.FAMILIES``, mapped to theta by
@@ -44,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -159,13 +154,7 @@ def start_pool(kind: ModelKind, starts: int, seed: int) -> np.ndarray:
     theta = np.vstack(blocks)[:starts]  # uniform draws, mapped in place
     for j, spec in enumerate(specs):
         theta[:, j] = spec.from_unit(theta[:, j], spec.lo, spec.hi)
-    coords = FAMILIES[kind].coords
-    if coords is not None:
-        return coords[1](theta)
-    z = np.empty_like(theta)
-    for j, spec in enumerate(specs):
-        z[:, j] = theta[:, j] if spec.constraint == "free" else np.log(theta[:, j] - spec.bound)
-    return z
+    return FAMILIES[kind].coords[1](theta)
 
 
 def rms_loss(observed: SampledSeries, model: CurveModel) -> float:
@@ -174,33 +163,6 @@ def rms_loss(observed: SampledSeries, model: CurveModel) -> float:
         raise ValueError("observed series is empty")
     r = observed.ys - evaluate_on(model, observed.xs)
     return math.sqrt(float((r * r).sum()) / r.size)
-
-
-@lru_cache(maxsize=None)
-def _z_columns(kind: ModelKind) -> tuple[np.ndarray, np.ndarray]:
-    """(free-column mask, bound per column) of the map from z to theta:
-    bound + exp(z), or z itself in the free columns."""
-    specs = FAMILIES[kind].params
-    free = np.array([spec.constraint == "free" for spec in specs])
-    offsets = np.array([0.0 if spec.constraint == "free" else spec.bound for spec in specs])
-    free.setflags(write=False)
-    offsets.setflags(write=False)
-    return free, offsets
-
-
-def _theta_rows(kind: ModelKind, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(theta, dtheta/dz) for a (m, d) z-matrix: dtheta/dz is exp(z), and
-    exactly 1 in the free columns.  For a family with coupled ``coords`` it
-    is (theta, None): its partials are already taken in z."""
-    coords = FAMILIES[kind].coords
-    if coords is not None:
-        return coords[0](Z), None
-    free, offsets = _z_columns(kind)
-    ez = np.exp(Z)
-    theta = ez + offsets
-    np.copyto(theta, Z, where=free)
-    np.copyto(ez, 1.0, where=free)
-    return theta, ez
 
 
 def _shapes(kind: ModelKind, theta: np.ndarray, grid: EvalGrid) -> np.ndarray:
@@ -223,17 +185,15 @@ def _profiled_amplitude(grid: EvalGrid, ys: np.ndarray, params: ShapeParams) -> 
 
 
 def _partials(
-    kind: ModelKind, theta: np.ndarray, dtheta: np.ndarray | None, s: np.ndarray, grid: EvalGrid
+    kind: ModelKind, theta: np.ndarray, dtheta: np.ndarray, s: np.ndarray, grid: EvalGrid
 ) -> np.ndarray:
     """Partials ds/dz (m, d, n) of the grid-max-normalized shapes s (m, n)
-    at the (theta, dtheta/dz) rows ``_theta_rows`` gives; ds is 0 wherever
-    s is exactly 0."""
+    at the (theta, dtheta/dz) rows the family's ``coords`` give; ds is 0
+    wherever s is exactly 0."""
     ds = np.empty(theta.shape + s.shape[1:])
     for j, dls in enumerate(FAMILIES[kind].partials(*theta.T[:, :, None], grid)):
         np.multiply(s, dls, out=ds[:, j])
-    # None when the partials are already in z; a free column's 1 is exact
-    if dtheta is not None:
-        ds *= dtheta[:, :, None]
+    ds *= dtheta[:, :, None]
     # s * dls is 0 * inf (NaN) at an endpoint where the shape vanishes
     if not s.all():
         np.copyto(ds, 0.0, where=(s == 0.0)[:, None, :])
@@ -245,9 +205,9 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     ``kind`` to ys on grid.  The loss maps a (m, d) z-matrix to (profiled-
     amplitude rms (m,), terms), terms the tuple (theta, dtheta/dz, grid-max-
     normalized shapes s (m, n), <s, s>, amplitude A, residual r) of row
-    arrays it computed on the way (dtheta/dz may be None, see
-    ``_theta_rows``).  The normal equations map k rows of those terms to
-    (J^T J / n (k, d, d), J^T r / n (k, d)), adding only the partials.
+    arrays it computed on the way.  The normal equations map k rows of
+    those terms to (J^T J / n (k, d, d), J^T r / n (k, d)), adding only the
+    partials.
 
     With the amplitude A = <s, y> / <s, s> profiled out, the residual is
     r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
@@ -258,10 +218,11 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     the batch.
     """
     n = ys.size
+    to_theta = FAMILIES[kind].coords[0]
 
     def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, tuple]:
         # caller holds an errstate that silences the expected warnings
-        theta, dtheta = _theta_rows(kind, Z)
+        theta, dtheta = to_theta(Z)
         s = _shapes(kind, theta, grid)
         tmp = s * ys
         num = np.add.reduce(tmp, axis=1)
@@ -426,7 +387,7 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
             done = converged.copy()
             step = np.flatnonzero(accept & ~converged)
             if step.size:
-                As, gs = normal_equations(tuple(None if t is None else t[step] for t in terms))
+                As, gs = normal_equations(tuple(t[step] for t in terms))
                 A[step] = As
                 g[step] = gs
                 D[step] = np.maximum(D[step], _diagonals(As))
@@ -479,7 +440,7 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
     try:
         # the map the loss scored the winner with, so params are that point
         with np.errstate(over="ignore"):
-            theta = _theta_rows(kind, zb[best : best + 1])[0][0]
+            theta = FAMILIES[kind].coords[0](zb[best : best + 1])[0][0]
         params = ShapeParams(kind, theta)
         amplitude = _profiled_amplitude(grid, observed.ys, params)
     except (OverflowError, ParameterBoundsError) as exc:

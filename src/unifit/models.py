@@ -243,10 +243,10 @@ def _ls_gengamma(alpha, d, p, grid: EvalGrid):
 
 # --- partials of the log shape -------------------------------------------
 #
-# d log s / d theta_j for every shape parameter (d log s / d z_j for a
-# family with coupled coords), broadcasting like the kernels.  Entries may
-# be infinite or NaN where the shape is exactly zero (an endpoint); callers
-# multiply by s and zero those points.
+# The factors that, times the dtheta/dz of the family's coords, give
+# d log s / d z_j (see ``Family``), broadcasting like the kernels.  Entries
+# may be infinite or NaN where the shape is exactly zero (an endpoint);
+# callers multiply by s and zero those points.
 
 def _dls_maxent(a, b, grid: EvalGrid):
     return -grid.inv_x, -grid.inv_omx
@@ -274,7 +274,6 @@ def _dls_skewnormal(xi, omega, alpha, grid: EvalGrid):
 
 
 def _dls_gengamma(alpha, d, p, grid: EvalGrid):
-    # d log s / dz in the coordinates of _gengamma_z, not d log s / d theta
     t = grid.log_x - np.log(alpha)
     e = np.exp(p * t)  # (x / alpha)**p
     dm1 = d - 1.0
@@ -283,8 +282,30 @@ def _dls_gengamma(alpha, d, p, grid: EvalGrid):
     return p * e, dm1 * grid.log_x - e, (p - _GENGAMMA_P_MIN) * dz3
 
 
-# --- coupled z <-> theta maps ---------------------------------------------
-#
+# --- z <-> theta maps -----------------------------------------------------
+
+
+def _param_coords(params: tuple[Param, ...]) -> tuple[Callable, Callable]:
+    """The ``coords`` a ``Family`` gets when it names none (see there);
+    dtheta/dz is exactly 1.0 in the free columns."""
+    free = np.array([spec.constraint == "free" for spec in params])
+    bound = np.array([0.0 if f else _BOUNDS[spec.constraint][0] for f, spec in zip(free, params)])
+    free.setflags(write=False)
+    bound.setflags(write=False)
+
+    def to_theta(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dtheta = np.exp(Z)
+        theta = dtheta + bound
+        np.copyto(theta, Z, where=free)
+        np.copyto(dtheta, 1.0, where=free)
+        return theta, dtheta
+
+    def to_z(theta: np.ndarray) -> np.ndarray:
+        return np.log(theta - bound, out=theta.copy(), where=~free)
+
+    return to_theta, to_z
+
+
 # Gengamma's ridge alpha -> 0, d -> inf at a fixed mode and log-space
 # curvature (it tends to a log-normal bump as p -> 0) is a long crawl in
 # per-parameter logs; in z = (log x*, log c, log(p - p_min)), x* =
@@ -292,15 +313,16 @@ def _dls_gengamma(alpha, d, p, grid: EvalGrid):
 # along z3 alone (Prentice 1974 makes the log-normal limit a finite point
 # the same way).  The floor p_min keeps alpha a normal float: for p >=
 # 0.05, log alpha >= z1 - max(0, 20 z2 + 120), above -708 for any c below
-# about e^28.
+# about e^28.  _dls_gengamma gives d log s / dz itself, so dtheta/dz is 1.
 
 _GENGAMMA_P_MIN = 0.05
 
 
-def _gengamma_theta(Z: np.ndarray) -> np.ndarray:
+def _gengamma_theta(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z1, z2, z3 = Z.T
     p = _GENGAMMA_P_MIN + np.exp(z3)
-    return np.stack([np.exp(z1 - (z2 - 2.0 * np.log(p)) / p), 1.0 + np.exp(z2) / p, p], axis=1)
+    theta = np.stack([np.exp(z1 - (z2 - 2.0 * np.log(p)) / p), 1.0 + np.exp(z2) / p, p], axis=1)
+    return theta, np.ones_like(Z)
 
 
 def _gengamma_z(theta: np.ndarray) -> np.ndarray:
@@ -340,12 +362,10 @@ class Param:
     """One shape parameter: its bound and the ranges it is drawn from.
 
     ``constraint`` is the bound (``pos``: > 0, ``ge1``: >= 1, ``gt1``:
-    > 1, ``free``: none) and, unless the family has coupled ``coords``,
-    picks the fitter's unconstrained coordinate: theta = bound + exp(z),
-    or theta = z for ``free``.  ``lo``/``hi``
-    bound the fitter's start draws and ``gen`` the benchmark's generation
-    draws, log-uniform when ``log_scale``; with ``shifted`` both ranges
-    apply to theta - 1.  ``from_unit`` maps uniform draws into either range.
+    > 1, ``free``: none).  ``lo``/``hi`` bound the fitter's start draws
+    and ``gen`` the benchmark's generation draws, log-uniform when
+    ``log_scale``; with ``shifted`` both ranges apply to theta - 1.
+    ``from_unit`` maps uniform draws into either range.
     """
 
     name: str
@@ -355,11 +375,6 @@ class Param:
     gen: tuple[float, float]
     log_scale: bool
     shifted: bool = False
-
-    @property
-    def bound(self) -> float:
-        """Lower bound of a constrained parameter: 0 or 1."""
-        return _BOUNDS[self.constraint][0]
 
     def from_unit(self, u, lo: float, hi: float):
         """Map uniform draws u in [0, 1) into [lo, hi], shifted by 1 if ``shifted``."""
@@ -371,12 +386,13 @@ class Param:
 class Family:
     """Everything the package knows about one model family.
 
-    ``partials`` gives d log s / d theta_j for each parameter, broadcasting
-    like ``kernel``.  ``coords`` is the fitter's unconstrained coordinate
-    map, (z -> theta, theta -> z) on (m, d) matrices, when it couples the
-    parameters; ``partials`` then gives d log s / d z_j instead.  None:
-    each ``Param`` maps its own column.  ``mode`` is the analytic peak
-    location (None: numeric argmax);
+    ``coords`` is the fitter's map between the parameters theta and its
+    unconstrained coordinates z, (z -> (theta, dtheta/dz), theta -> z) on
+    (m, d) matrices; ``partials``, broadcasting like ``kernel``, times
+    dtheta/dz is d log s / d z_j.  Left out, it is built from the
+    ``Param``s: theta = bound + exp(z), or theta = z for a free parameter,
+    with ``partials`` giving d log s / d theta_j.  ``mode`` is the analytic
+    peak location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
     audit's constraint integrals (None: the family is not audited).
     """
@@ -390,6 +406,10 @@ class Family:
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
+
+    def __post_init__(self) -> None:
+        if self.coords is None:
+            object.__setattr__(self, "coords", _param_coords(self.params))
 
 
 # Generation ranges emphasize each family's characteristic geometry within

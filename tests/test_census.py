@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -35,20 +36,26 @@ def test_reruns_agree(census, one_trial):
     for row in census.compare(a, b).values():
         assert row["passes"][0] == row["passes"][1] > 0
         assert row["converged"][0] == row["converged"][1]
-        assert row["worse"] == row["better"] == [] and row["switched"] == 0
+        assert row["worse"] == row["better"] == [] and row["switched"] == row["differ"] == 0
+    assert all(len(r["params"]) > 0 and r["amplitude"] > 0.0 for r in a["fits"])
 
 
 def test_compare_counts_changes(census, one_trial):
     a = one_trial[0]
     b = copy.deepcopy(a)
-    round_off, worse, failed = b["fits"][:3]
+    round_off, worse, failed, ulp = b["fits"][:4]
     worse["rms"] *= 1.5
     failed.update(rms=None, failed=True)
     round_off["rms"] += 1e-10  # a near-zero self-fit's round-off
+    ulp["params"][0] = math.nextafter(ulp["params"][0], math.inf)  # differs, same rms
     summary = census.compare(a, b)
+    assert sum(row["differ"] for row in summary.values()) == 4
     assert summary[worse["fitter"]]["worse"] == [(worse["generator"], 0, pytest.approx(1.5))]
     assert summary[failed["fitter"]]["switched"] == 1
     assert sum(len(row["worse"]) + len(row["better"]) for row in summary.values()) == 1
-    assert f"worse: {worse['fitter']} on {worse['generator']} trial 0" in census.report(summary)
+    text = census.report(summary)
+    assert f"worse: {worse['fitter']} on {worse['generator']} trial 0" in text
+    total = next(line for line in text.splitlines() if line.startswith("all "))
+    assert total.split()[1] == "4"  # the differ column
     with pytest.raises(ValueError, match="different fits"):
         census.compare(a, {"fits": a["fits"][1:]})

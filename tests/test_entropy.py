@@ -162,6 +162,15 @@ class TestPerturbationAudit:
             with pytest.raises(ValueError, match="numerically dependent"):
                 perturbation_audit(ShapeParams(kind, (a, b)), trials=10, seed=0)
 
+    @pytest.mark.parametrize("a,b", [(100.0, 100.0), (0.01, 100.0)], ids=str)
+    def test_spiked_maximizers_audit_clean(self, a, b):
+        # moderately spiked but independent constraints: Gram-Schmidt lost
+        # orthogonality here and its constraint residual raised H at first
+        # order, failing 15 and 26 of the CLI's 200 trials
+        report = perturbation_audit(maxent(a, b), trials=200, seed=0)
+        assert report.perturbation_failures == 0
+        assert report.perturbation_skipped == 0
+
     def test_beta_boundary_exponent_rejected(self):
         with pytest.raises(ValueError, match="unaudited"):
             perturbation_audit(beta(1, 2), trials=10, seed=0)

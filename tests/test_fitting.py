@@ -381,7 +381,7 @@ class TestLockstep:
         series = normalize(load_series(bundled_dataset_path(name)))[0]
         loss, normal, Z0 = _lockstep_inputs(kind, series, seed)
         z, F, _, _ = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
-        scored = fitting._theta_rows(kind, z[np.argmin(F)][None])[0][0]
+        scored = FAMILIES[kind].coords[0](z[np.argmin(F)][None])[0][0]
         assert tuple(map(float, scored)) == fit(series, kind, FitConfig(seed=seed)).model.params.values
 
     def test_singular_row_does_not_stop_the_others(self, lockstep_series):
@@ -389,7 +389,7 @@ class TestLockstep:
         # singular; the other starts must run exactly as without it
         kind = ModelKind.SKEWNORMAL
         loss, normal, Z0 = _lockstep_inputs(kind, lockstep_series["universe25"])
-        poison = fitting._theta_rows(kind, Z0[3:4])[0][0]
+        poison = FAMILIES[kind].coords[0](Z0[3:4])[0][0]
 
         def singular_normal(terms):
             A, g = normal(terms)
@@ -505,12 +505,12 @@ class TestPartials:
         specs = FAMILIES[kind].params
         Z = start_pool(kind, 8, seed=17)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            theta, dtheta = fitting._theta_rows(kind, Z)
+            theta, dtheta = FAMILIES[kind].coords[0](Z)
             s = fitting._shapes(kind, theta, grid)
             ds = fitting._partials(kind, theta, dtheta, s, grid)
 
             def log_shape(z):
-                return FAMILIES[kind].kernel(*fitting._theta_rows(kind, z[None])[0][0], grid)
+                return FAMILIES[kind].kernel(*FAMILIES[kind].coords[0](z[None])[0][0], grid)
 
             for i, z in enumerate(Z):
                 peak = log_shape(z).max()  # the normalization of s at z
@@ -546,21 +546,32 @@ class TestStartPool:
             u = (pool[:, j] - math.log(spec.lo)) / (math.log(spec.hi) - math.log(spec.lo))
             assert sorted(np.floor(u * 16).astype(int)) == list(range(16))
 
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_gengamma_draws_round_trip(self, seed, monkeypatch):
-        # the coupled map starts from the same theta draws as per-parameter
-        # logs would, and theta -> z -> theta gives them back
-        kind = ModelKind.GENGAMMA
-        coupled = start_pool(kind, 64, seed)
-        monkeypatch.setitem(FAMILIES, kind, dataclasses.replace(FAMILIES[kind], coords=None))
-        draws = fitting._theta_rows(kind, start_pool(kind, 64, seed))[0]
-        monkeypatch.undo()
-        np.testing.assert_allclose(fitting._theta_rows(kind, coupled)[0], draws, rtol=1e-12, atol=0)
+    def test_coords_round_trip(self, seed, kind):
+        # theta -> z -> theta gives start draws back; dtheta/dz is exactly 1
+        # in free columns and exp(z) in bounded ones, and exactly 1 in every
+        # column of gengamma's coupled map, whose partials are taken in z
+        family = FAMILIES[kind]
+        u = np.random.default_rng(seed).random((64, len(family.params)))
+        draws = np.column_stack(
+            [spec.from_unit(u[:, j], spec.lo, spec.hi) for j, spec in enumerate(family.params)]
+        )
+        to_theta, to_z = family.coords
+        z = to_z(draws)
+        theta, dtheta = to_theta(z)
+        np.testing.assert_allclose(theta, draws, rtol=1e-12, atol=0)
+        if kind is ModelKind.GENGAMMA:
+            expected = np.ones_like(z)
+        else:
+            free = np.array([spec.constraint == "free" for spec in family.params])
+            expected = np.where(free, 1.0, np.exp(z))
+        assert np.array_equal(dtheta, expected)
 
     def test_within_documented_ranges(self):
         for kind, family in FAMILIES.items():
             pool = start_pool(kind, 16, seed=1)
-            thetas = fitting._theta_rows(kind, pool)[0]
+            thetas = family.coords[0](pool)[0]
             for j, spec in enumerate(family.params):
                 theta = thetas[:, j]
                 lo = 1.0 + spec.lo if spec.shifted else spec.lo

@@ -8,15 +8,17 @@ generator, trial and fitter), one ``fit()`` at a time with the benchmark's
 own series and fit seeds, and records for each: its rms, ``converged``,
 ``iterations_used`` (passes summed over the starts), its lockstep passes
 (passes of the lockstep loop, which are those of its longest-running
-start) and whether it raised ``FitFailureError``.  The package measured is
-the one on the import path, so one copy of this script can census two
-checkouts.
+start), the winning parameters and amplitude, and whether it raised
+``FitFailureError``.  The package measured is the one on the import path,
+so one copy of this script can census two checkouts.
 
-``compare`` prints, per fitter, the change in lockstep passes, the fits
-more than 1% worse or better (a difference of at most 1e-9 in rms is
-round-off on near-zero self-fits and is ignored), the fits that switched
-between a result and ``FitFailureError``, and the winners that converged;
-then each fit more than 1% worse or better.
+``compare`` prints, per fitter, the fits whose records are not
+byte-identical (0 when a change leaves every fit bit-identical), the
+change in lockstep passes, the fits more than 1% worse or better (a
+difference of at most 1e-9 in rms is round-off on near-zero self-fits and
+is ignored), the fits that switched between a result and
+``FitFailureError``, and the winners that converged; then each fit more
+than 1% worse or better.
 """
 
 from __future__ import annotations
@@ -72,13 +74,18 @@ def run(seed: int, trials: int) -> dict:
                         fit_seed = mix64(seed, _FIT_TAG, g, trial, f)
                         result = fit(series, fitter, FitConfig(seed=fit_seed))
                     except FitFailureError:
-                        record.update(rms=None, converged=False, iterations_used=None, failed=True)
+                        record.update(
+                            rms=None, converged=False, iterations_used=None, failed=True,
+                            params=None, amplitude=None,
+                        )
                     else:
                         record.update(
                             rms=result.rms,
                             converged=result.converged,
                             iterations_used=result.iterations_used,
                             failed=False,
+                            params=list(result.model.params.values),
+                            amplitude=result.model.amplitude,
                         )
                     record["passes"] = sum(log)
                     fits.append(record)
@@ -89,22 +96,34 @@ def _key(record: dict) -> tuple:
     return record["generator"], record["trial"], record["fitter"]
 
 
+def _row() -> dict:
+    return {
+        "differ": 0, "passes": [0, 0], "worse": [], "better": [], "switched": 0,
+        "converged": [0, 0],
+    }
+
+
+def _bytes(record: dict) -> str:
+    # JSON writes each float as its shortest round-tripping repr, so equal
+    # text is equal bits (-0.0 included, which == would not tell from 0.0)
+    return json.dumps(record, sort_keys=True)
+
+
 def compare(a: dict, b: dict) -> dict:
     """Per-fitter summary of census b against census a, which must cover
-    the same fits: {fitter: {passes, worse, better, switched, converged}},
-    where passes and converged are (a, b) pairs and worse and better list
-    (generator, trial, rms ratio b / a)."""
+    the same fits: {fitter: {differ, passes, worse, better, switched,
+    converged}}, where differ counts the fits whose records are not
+    byte-identical, passes and converged are (a, b) pairs and worse and
+    better list (generator, trial, rms ratio b / a)."""
     before = {_key(r): r for r in a["fits"]}
     after = {_key(r): r for r in b["fits"]}
     if before.keys() != after.keys():
         raise ValueError("the censuses cover different fits (seed or trials differ)")
-    out = {
-        kind.value: {"passes": [0, 0], "worse": [], "better": [], "switched": 0, "converged": [0, 0]}
-        for kind in KIND_ORDER
-    }
+    out = {kind.value: _row() for kind in KIND_ORDER}
     for key, ra in before.items():
         rb = after[key]
         row = out[key[2]]
+        row["differ"] += _bytes(ra) != _bytes(rb)
         for i, r in enumerate((ra, rb)):
             row["passes"][i] += r["passes"]
             row["converged"][i] += r["converged"]
@@ -126,17 +145,16 @@ def _change(pair) -> str:
 
 
 def report(summary: dict) -> str:
-    lines = [f"{'fitter':<11} {'lockstep passes':<32} worse better switched converged"]
-    total = {"passes": [0, 0], "worse": [], "better": [], "switched": 0, "converged": [0, 0]}
+    lines = [f"{'fitter':<11} differ {'lockstep passes':<32} worse better switched converged"]
+    total = _row()
     for name, row in list(summary.items()) + [("all", total)]:
         if name != "all":
             for field in ("passes", "converged"):
                 total[field] = [t + v for t, v in zip(total[field], row[field])]
-            total["worse"] += row["worse"]
-            total["better"] += row["better"]
-            total["switched"] += row["switched"]
+            for field in ("differ", "worse", "better", "switched"):
+                total[field] += row[field]
         lines.append(
-            f"{name:<11} {_change(row['passes']):<32} {len(row['worse']):>5} "
+            f"{name:<11} {row['differ']:>6} {_change(row['passes']):<32} {len(row['worse']):>5} "
             f"{len(row['better']):>6} {row['switched']:>8} "
             f"{row['converged'][0]} -> {row['converged'][1]}"
         )
