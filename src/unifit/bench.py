@@ -8,7 +8,9 @@ more than 5% of the peak — the benchmark targets series that rise from a
 reference level and return to it), a unit-amplitude series is sampled on
 the grid, and all five families fit the same series, so columns are
 paired.  Every random draw is keyed by (seed, generator, trial), which
-makes the table independent of execution order and safe to parallelize.
+makes the table independent of execution order and safe to parallelize;
+each fit's start seed comes from ``_fit_config``, keyed by (fit seed,
+generator, trial, fitter).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "GenerationError",
     "sample_generator_params",
     "cross_compare",
-    "cell_rms_values",
     "render_table",
     "parse_table",
 ]
@@ -172,46 +173,24 @@ def _trial_series(config: BenchConfig, gen_index: int, trial: int) -> SampledSer
     return series
 
 
-def _trial_rms(config: BenchConfig, gen_index: int, trial: int, fit_index: int,
-               series: SampledSeries) -> tuple[float, bool]:
-    """(rms, failed): failures count as the worst-case rms of the series."""
-    fit_kind = KIND_ORDER[fit_index]
-    fit_seed = mix64(config.fit.seed, _FIT_TAG, gen_index, trial, fit_index)
-    try:
-        result = fit(series, fit_kind, replace(config.fit, seed=fit_seed))
-        return result.rms, False
-    except FitFailureError:
-        worst = math.sqrt(float((series.ys * series.ys).mean()))
-        return worst, True
+def _fit_config(config: BenchConfig, g: int, trial: int, f: int) -> FitConfig:
+    """``config.fit`` with the seed of fitter f on (generator g, trial), keyed
+    by (seed, generator, trial, fitter): the only place a fit seed is made."""
+    return replace(config.fit, seed=mix64(config.fit.seed, _FIT_TAG, g, trial, f))
 
 
-def cell_rms_values(config: BenchConfig, fitter: ModelKind, generator: ModelKind) -> list[float]:
-    """Per-trial rms for one cell; identical to the values inside a full
-    ``cross_compare`` run with the same config (generation does not depend
-    on which fitters consume the series)."""
-    g = KIND_ORDER.index(generator)
-    f = KIND_ORDER.index(fitter)
-    out = []
-    for trial in range(config.trials_per_cell):
-        series = _trial_series(config, g, trial)
-        out.append(_trial_rms(config, g, trial, f, series)[0])
-    return out
-
-
-def _summarize(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
-def _row_job(config: BenchConfig, g: int, trial: int) -> tuple[tuple[float, bool], ...]:
-    """All five fits for one (generator, trial); a pure function of its
-    arguments, so rows can run in any order or process."""
+def _row_job(config: BenchConfig, g: int, trial: int) -> list[tuple[float, bool]]:
+    """(rms, failed) of each fitter on the series of (generator g, trial),
+    a failed fit counting as the series' worst-case rms; a pure function
+    of its arguments, so rows can run in any order or process."""
     series = _trial_series(config, g, trial)
-    return tuple(
-        _trial_rms(config, g, trial, f, series) for f in range(len(KIND_ORDER))
-    )
+    row = []
+    for f, kind in enumerate(KIND_ORDER):
+        try:
+            row.append((fit(series, kind, _fit_config(config, g, trial, f)).rms, False))
+        except FitFailureError:
+            row.append((math.sqrt(float((series.ys * series.ys).mean())), True))
+    return row
 
 
 def cross_compare(config: BenchConfig = BenchConfig(), *, workers: int = 1) -> CrossTable:
@@ -225,47 +204,29 @@ def cross_compare(config: BenchConfig = BenchConfig(), *, workers: int = 1) -> C
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_kinds = len(KIND_ORDER)
-    tasks = [(g, trial) for g in range(n_kinds) for trial in range(config.trials_per_cell)]
+    n, trials = len(KIND_ORDER), config.trials_per_cell
+    tasks = [(g, trial) for g in range(n) for trial in range(trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the default start method: _row_job and its arguments pickle, so
         # spawn and forkserver work as well as fork
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _row_job,
-                    [config] * len(tasks),
-                    [g for g, _ in tasks],
-                    [t for _, t in tasks],
-                    chunksize=8,
-                )
-            )
+            rows = list(pool.map(_row_job, [config] * len(tasks), *zip(*tasks), chunksize=8))
     else:
-        results = [_row_job(config, g, t) for g, t in tasks]
+        rows = [_row_job(config, g, t) for g, t in tasks]
 
-    rms: list[list[list[float]]] = [[[] for _ in range(n_kinds)] for _ in range(n_kinds)]
-    fail_counts = [[0] * n_kinds for _ in range(n_kinds)]
-    for (g, _trial), row in zip(tasks, results):
-        for f, (value, failed) in enumerate(row):
-            rms[f][g].append(value)
-            if failed:
-                fail_counts[f][g] += 1
-
+    # (fitter, generator, trial) arrays of rms and failure flags, trials on
+    # the contiguous axis: a cell's mean and std sum its trials in the
+    # order a 1-D array of them would
+    rms, failed = np.ascontiguousarray(np.reshape(rows, (n, trials, n, 2)).transpose(3, 2, 0, 1))
+    mean = rms.mean(axis=2)
+    std = rms.std(axis=2, ddof=1) if trials > 1 else np.zeros_like(mean)
     cells = tuple(
-        tuple(
-            CellStats(*_summarize(rms[f][g]), trials=config.trials_per_cell)
-            for g in range(n_kinds)
-        )
-        for f in range(n_kinds)
+        tuple(CellStats(float(m), float(sd), trials) for m, sd in zip(means, stds))
+        for means, stds in zip(mean, std)
     )
-    degraded = any(
-        fail_counts[f][g] * 2 > config.trials_per_cell
-        for f in range(n_kinds)
-        for g in range(n_kinds)
-    )
-    return CrossTable(cells=cells, degraded=degraded)
+    return CrossTable(cells, degraded=bool((failed.sum(axis=2) * 2 > trials).any()))
 
 
 @dataclass(frozen=True)

@@ -249,8 +249,8 @@ _JSON_TYPES = {
 }
 
 
-def _field(doc: dict, key: str, kind: type, where: str = ""):
-    """``doc[key]`` checked against its JSON type; numbers come back as float."""
+def _field(doc: dict, key: str, kind: type, where: str = "", least: float | None = None):
+    """``doc[key]`` checked for its JSON type, finiteness and ``least``; floats as float."""
     name = where + key
     if key not in doc:
         raise SeriesFormatError(f"fit document has no key {name!r}")
@@ -266,17 +266,23 @@ def _field(doc: dict, key: str, kind: type, where: str = ""):
         )
     if kind is float:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
             raise SeriesFormatError(f"fit document key {name!r} is out of float range") from None
+        # json reads NaN and Infinity, which write_fit never writes
+        if not math.isfinite(value):
+            raise SeriesFormatError(f"fit document key {name!r} must be finite, got {value!r}")
+    if least is not None and value < least:
+        raise SeriesFormatError(f"fit document key {name!r} must be >= {least}, got {value!r}")
     return value
 
 
 def read_fit(path) -> FitDocument:
     """Read back a document produced by ``write_fit``.
 
-    A document that is not a JSON object, or lacks a key or has one of the
-    wrong JSON type, raises ``SeriesFormatError`` naming the key.
+    A document that is not a JSON object, or lacks a key or has a value
+    ``write_fit`` never writes (a wrong JSON type, a non-finite number, a
+    negative rms or count, no start), raises ``SeriesFormatError`` naming it.
     """
     if hasattr(path, "read"):
         doc = json.load(path)
@@ -296,10 +302,10 @@ def read_fit(path) -> FitDocument:
         transform=DomainTransform(
             *(_field(tr, key, float, "transform.") for key in ("t_min", "t_max", "y_scale"))
         ),
-        rms_normalized=_field(doc, "rms_normalized", float),
-        rms_original=_field(doc, "rms_original", float),
-        starts=_field(opt, "starts", int, "optimizer."),
-        iterations_used=_field(opt, "iterations_used", int, "optimizer."),
+        rms_normalized=_field(doc, "rms_normalized", float, least=0.0),
+        rms_original=_field(doc, "rms_original", float, least=0.0),
+        starts=_field(opt, "starts", int, "optimizer.", least=1),
+        iterations_used=_field(opt, "iterations_used", int, "optimizer.", least=0),
         converged=_field(opt, "converged", bool, "optimizer."),
         version=_field(doc, "version", str),
     )

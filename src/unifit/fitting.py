@@ -55,7 +55,6 @@ from .models import (
     ShapeParams,
     _log_peak,
     evaluate_on,
-    log_shape_on_grid,
 )
 
 __all__ = [
@@ -165,23 +164,13 @@ def rms_loss(observed: SampledSeries, model: CurveModel) -> float:
     return math.sqrt(float((r * r).sum()) / r.size)
 
 
-def _shapes(kind: ModelKind, theta: np.ndarray, grid: EvalGrid) -> np.ndarray:
-    """Grid-max-normalized shapes (m, n) at a (m, d) theta-matrix."""
+def _shapes(kind: ModelKind, theta: np.ndarray, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-max-normalized shapes (m, n) at a (m, d) theta-matrix, and each
+    row's grid maximum of log s (m,) that normalized it."""
     ls = FAMILIES[kind].kernel(*theta.T[:, :, None], grid)
-    ls -= np.maximum.reduce(ls, axis=1, keepdims=True)
-    return np.exp(ls, out=ls)
-
-
-def _profiled_amplitude(grid: EvalGrid, ys: np.ndarray, params: ShapeParams) -> float:
-    """Closed-form least-squares amplitude, converted to the peak-normalized
-    convention (the in-loop profile normalizes by the grid maximum)."""
-    ls = log_shape_on_grid(params, grid)
-    peak_grid = float(np.max(ls))
-    s = np.exp(ls - peak_grid)
-    amp_grid = float((s * ys).sum() / (s * s).sum())
-    # in-loop shapes are normalized by the grid maximum; the true peak can
-    # fall between grid points, so rescale to the peak-normalized convention
-    return amp_grid * math.exp(_log_peak(params) - peak_grid)
+    top = np.maximum.reduce(ls, axis=1, keepdims=True)
+    ls -= top
+    return np.exp(ls, out=ls), top[:, 0]
 
 
 def _partials(
@@ -204,10 +193,10 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     """(batch loss, normal equations) of the variable-projection fit of
     ``kind`` to ys on grid.  The loss maps a (m, d) z-matrix to (profiled-
     amplitude rms (m,), terms), terms the tuple (theta, dtheta/dz, grid-max-
-    normalized shapes s (m, n), <s, s>, amplitude A, residual r) of row
-    arrays it computed on the way.  The normal equations map k rows of
-    those terms to (J^T J / n (k, d, d), J^T r / n (k, d)), adding only the
-    partials.
+    normalized shapes s (m, n), <s, s>, amplitude A, residual r, grid
+    maximum of log s) of row arrays it computed on the way.  The normal
+    equations map k rows of those terms to (J^T J / n (k, d, d), J^T r / n
+    (k, d)), adding only the partials.
 
     With the amplitude A = <s, y> / <s, s> profiled out, the residual is
     r = y - A s = P y, P the projector orthogonal to s, and its Jacobian
@@ -223,7 +212,7 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     def batch_rms(Z: np.ndarray) -> tuple[np.ndarray, tuple]:
         # caller holds an errstate that silences the expected warnings
         theta, dtheta = to_theta(Z)
-        s = _shapes(kind, theta, grid)
+        s, top = _shapes(kind, theta, grid)
         tmp = s * ys
         num = np.add.reduce(tmp, axis=1)
         ss = np.add.reduce(np.multiply(s, s, out=tmp), axis=1)
@@ -233,10 +222,10 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
         out /= n
         np.sqrt(out, out=out)
         # NaN (a non-finite shape or amplitude) -> +inf; fmin keeps the rest
-        return np.fmin(out, np.inf, out=out), (theta, dtheta, s, ss, amp, r)
+        return np.fmin(out, np.inf, out=out), (theta, dtheta, s, ss, amp, r, top)
 
     def normal_equations(terms: tuple):
-        theta, dtheta, s, ss, amp, r = terms
+        theta, dtheta, s, ss, amp, r, _ = terms
         ds = _partials(kind, theta, dtheta, s, grid)
         sds = np.add.reduce(ds * s[:, None, :], axis=2)
         rds = np.add.reduce(ds * r[:, None, :], axis=2)
@@ -419,12 +408,10 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
             (),
         )
 
-    grid = EvalGrid(observed.xs)
+    batch_rms, normal_equations = _projection(kind, EvalGrid(observed.xs), observed.ys)
     zb, fb, iters, conv = _lm_lockstep(
-        *_projection(kind, grid, observed.ys),
-        start_pool(kind, config.starts, config.seed),
-        config.simplex_tolerance,
-        min(config.max_iterations, _MAX_PASSES),
+        batch_rms, normal_equations, start_pool(kind, config.starts, config.seed),
+        config.simplex_tolerance, min(config.max_iterations, _MAX_PASSES),
     )
 
     best = int(np.argmin(fb))  # exact ties resolve to the lowest start index
@@ -437,12 +424,13 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
             start_losses,
         )
 
+    # rescore the winner for the theta and grid-max amplitude its loss used
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta, _, _, _, amp, _, top = batch_rms(zb[best : best + 1])[1]
     try:
-        # the map the loss scored the winner with, so params are that point
-        with np.errstate(over="ignore"):
-            theta = FAMILIES[kind].coords[0](zb[best : best + 1])[0][0]
-        params = ShapeParams(kind, theta)
-        amplitude = _profiled_amplitude(grid, observed.ys, params)
+        params = ShapeParams(kind, theta[0])
+        # the true peak can fall between grid points: rescale to unit peak
+        amplitude = float(amp[0]) * math.exp(_log_peak(params) - float(top[0]))
     except (OverflowError, ParameterBoundsError) as exc:
         # exact in real arithmetic, the z -> theta map can leave the family's
         # bounds in float64 (1 + exp(z) rounds to 1, or exp(z) overflows or

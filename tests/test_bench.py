@@ -14,13 +14,14 @@ from unifit import (
     KIND_ORDER,
     ModelKind,
     cross_compare,
+    fit,
     mode,
     parse_table,
     render_table,
     sample_generator_params,
 )
 import unifit.bench as bench
-from unifit.bench import cell_rms_values, _fwhm
+from unifit.bench import _fwhm
 from unifit.models import evaluate_on
 
 
@@ -81,7 +82,11 @@ class TestCrossCompare:
         cfg, table = small_table
         f = KIND_ORDER.index(ModelKind.MAXENT)
         g = KIND_ORDER.index(ModelKind.RICHARDS)
-        values = cell_rms_values(cfg, ModelKind.MAXENT, ModelKind.RICHARDS)
+        # the fits of the benchmark's own series with its own fit configs
+        values = [
+            fit(bench._trial_series(cfg, g, t), KIND_ORDER[f], bench._fit_config(cfg, g, t, f)).rms
+            for t in range(cfg.trials_per_cell)
+        ]
         cell = table.cells[f][g]
         assert cell.mean_rms == float(np.mean(values))
         assert cell.std_rms == float(np.std(values, ddof=1))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from unifit import KIND_ORDER, BenchConfig, FitConfig, cross_compare
+
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 
 
@@ -38,6 +40,16 @@ def test_reruns_agree(census, one_trial):
         assert row["converged"][0] == row["converged"][1]
         assert row["worse"] == row["better"] == [] and row["switched"] == row["differ"] == 0
     assert all(len(r["params"]) > 0 and r["amplitude"] > 0.0 for r in a["fits"])
+
+
+def test_census_measures_the_benchmark_fits(one_trial):
+    # the seed-1 trials=1 census fits are exactly the cells of that table
+    table = cross_compare(BenchConfig(trials_per_cell=1, seed=1, fit=FitConfig(seed=1)))
+    cells = {(r["fitter"], r["generator"]): r["rms"] for r in one_trial[0]["fits"]}
+    assert not table.degraded and None not in cells.values()
+    for f, fitter in enumerate(KIND_ORDER):
+        for g, generator in enumerate(KIND_ORDER):
+            assert cells[fitter.value, generator.value] == table.cells[f][g].mean_rms
 
 
 def test_compare_counts_changes(census, one_trial):

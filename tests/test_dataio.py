@@ -321,6 +321,25 @@ class TestReadFitMalformed:
         with pytest.raises(SeriesFormatError, match=path):
             read_fit(io.StringIO(json.dumps(_mutated_document((), {path: value}))))
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [("rms_normalized", math.nan), ("rms_original", math.inf), ("amplitude", -math.inf),
+         ("parameters.a", math.nan), ("transform.t_max", math.inf),
+         ("rms_normalized", -0.01), ("rms_original", -1e-300),
+         ("optimizer.starts", 0), ("optimizer.starts", -5), ("optimizer.iterations_used", -1)],
+    )
+    def test_value_write_fit_never_writes_is_format_error(self, path, value):
+        # json writes and reads NaN and Infinity, so these documents parse
+        text = json.dumps(_mutated_document((), {path: value}))
+        with pytest.raises(SeriesFormatError, match=path):
+            read_fit(io.StringIO(text))
+
+    def test_zero_rms_and_iterations_read(self):
+        doc = _mutated_document((), {"rms_normalized": 0.0, "rms_original": 0,
+                                     "optimizer.iterations_used": 0, "optimizer.starts": 1})
+        result = read_fit(io.StringIO(json.dumps(doc)))
+        assert result.rms_original == 0.0 and result.starts == 1
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.one_of(

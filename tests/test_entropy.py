@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unifit import (
     AuditReport,
@@ -170,6 +172,25 @@ class TestPerturbationAudit:
         report = perturbation_audit(maxent(a, b), trials=200, seed=0)
         assert report.perturbation_failures == 0
         assert report.perturbation_skipped == 0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from([ModelKind.MAXENT, ModelKind.BETA]),
+        log_a=st.floats(-3.0, 3.0),
+        log_b=st.floats(-3.0, 3.0),
+    )
+    def test_maximizers_audit_clean_or_raise(self, kind, log_a, log_b):
+        # maxent (a, b), or beta (a - 1, b - 1), log-uniform over [1e-3, 1e3]:
+        # a maximizer by construction either audits clean or is too spiked
+        # for its constraints to be independent
+        shift = 1.0 if kind is ModelKind.BETA else 0.0
+        params = ShapeParams(kind, (shift + 10.0**log_a, shift + 10.0**log_b))
+        try:
+            report = perturbation_audit(params, trials=50, seed=0)
+        except ValueError as exc:
+            assert "numerically dependent" in str(exc)
+            return
+        assert report.perturbation_failures == 0, params
 
     def test_beta_boundary_exponent_rejected(self):
         with pytest.raises(ValueError, match="unaudited"):

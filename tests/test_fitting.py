@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unifit import (
+    BUNDLED_DATASETS,
     CurveModel,
     FitConfig,
     FitFailureError,
@@ -26,7 +27,6 @@ from unifit import (
 )
 import unifit.bench as bench
 import unifit.fitting as fitting
-from unifit._seeds import mix64
 from unifit.bench import BenchConfig, _trial_series
 from unifit.fitting import start_pool
 from unifit.models import _GENGAMMA_P_MIN, FAMILIES, EvalGrid
@@ -104,6 +104,27 @@ class TestFit:
         assert len(result.start_losses) == 16
 
     @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_model_reproduces_reported_rms(self, kind):
+        # the returned peak-normalized model scores the rms fit reports, on
+        # the bundled datasets and on benchmark series with their fit seeds
+        cases = [
+            (normalize(load_series(bundled_dataset_path(name)))[0], FitConfig(seed=0))
+            for name in BUNDLED_DATASETS
+        ]
+        config = BenchConfig(seed=1, fit=FitConfig(seed=1))
+        f = KIND_ORDER.index(kind)
+        cases += [
+            (_trial_series(config, g, trial), bench._fit_config(config, g, trial, f))
+            for g in range(len(KIND_ORDER))
+            for trial in (0, 1)
+        ]
+        for i, (series, fit_config) in enumerate(cases):
+            result = fit(series, kind, fit_config)
+            assert rms_loss(series, result.model) == pytest.approx(
+                result.rms, rel=1e-12, abs=1e-14
+            ), i
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     def test_monotone_improvement_in_starts(self, kind):
         series = maxent_series(0.8, 2.0)
         one = fit(series, kind, FitConfig(starts=1, seed=5))
@@ -126,7 +147,7 @@ class TestFit:
         # benchmark's fit seed: one start crawls along a ridge, still
         # improving, to the cap
         series = _trial_series(BenchConfig(seed=1), 0, 19)
-        seed = mix64(1, bench._FIT_TAG, 0, 19, 1)
+        seed = bench._fit_config(BenchConfig(seed=1, fit=FitConfig(seed=1)), 0, 19, 1).seed
         capped = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed, max_iterations=200))
         wider = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed, max_iterations=5000))
         tighter = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed, max_iterations=199))
@@ -506,7 +527,7 @@ class TestPartials:
         Z = start_pool(kind, 8, seed=17)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             theta, dtheta = FAMILIES[kind].coords[0](Z)
-            s = fitting._shapes(kind, theta, grid)
+            s = fitting._shapes(kind, theta, grid)[0]
             ds = fitting._partials(kind, theta, dtheta, s, grid)
 
             def log_shape(z):

@@ -5,12 +5,14 @@
 
 ``run`` makes every fit of ``unifit bench --trials T --seed S`` (each
 generator, trial and fitter), one ``fit()`` at a time with the benchmark's
-own series and fit seeds, and records for each: its rms, ``converged``,
-``iterations_used`` (passes summed over the starts), its lockstep passes
-(passes of the lockstep loop, which are those of its longest-running
-start), the winning parameters and amplitude, and whether it raised
-``FitFailureError``.  The package measured is the one on the import path,
-so one copy of this script can census two checkouts.
+own series and fit configs (``bench._fit_config``), and records for each:
+its rms, ``converged``, ``iterations_used`` (passes summed over the
+starts), its lockstep passes (passes of the lockstep loop, which are those
+of its longest-running start), the winning parameters and amplitude, and
+whether it raised ``FitFailureError``.  The package measured is the one on
+the import path, so one copy of this script can census two checkouts that
+both have ``bench._fit_config``; an older checkout is censused with its
+own copy.
 
 ``compare`` prints, per fitter, the fits whose records are not
 byte-identical (0 when a change leaves every fit bit-identical), the
@@ -30,8 +32,7 @@ from contextlib import contextmanager
 
 import unifit.fitting as fitting
 from unifit import KIND_ORDER, BenchConfig, FitConfig, FitFailureError, fit
-from unifit._seeds import mix64
-from unifit.bench import _FIT_TAG, _trial_series
+from unifit.bench import _fit_config, _trial_series
 
 #: A fit is worse (better) when its rms exceeds (falls below) the other's
 #: by more than this share of it.
@@ -70,9 +71,7 @@ def run(seed: int, trials: int) -> dict:
                     log.clear()
                     record = {"generator": generator.value, "trial": trial, "fitter": fitter.value}
                     try:
-                        # the fit seed bench._trial_rms draws
-                        fit_seed = mix64(seed, _FIT_TAG, g, trial, f)
-                        result = fit(series, fitter, FitConfig(seed=fit_seed))
+                        result = fit(series, fitter, _fit_config(config, g, trial, f))
                     except FitFailureError:
                         record.update(
                             rms=None, converged=False, iterations_used=None, failed=True,
