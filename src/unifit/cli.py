@@ -20,7 +20,7 @@ from .dataio import (
     normalize,
     write_fit,
 )
-from .entropy import QuadratureSpec, constraint_integrals, entropy_of, perturbation_audit
+from .entropy import entropy_of, perturbation_audit
 from .fitting import FitConfig, FitFailureError, fit
 from .models import (
     FAMILIES,
@@ -157,7 +157,7 @@ def _run_fit(args) -> int:
     if args.out is not None and fitted:
         out = Path(args.out)
         try:
-            if len(fitted) == 1:
+            if args.model != "all":
                 write_fit(fitted[0][1], transform, out)
             else:
                 for kind, result in fitted:
@@ -233,14 +233,10 @@ def _run_audit(args) -> int:
         print(f"unifit audit: --perturbations {args.perturbations} is negative", file=sys.stderr)
         return EXIT_USAGE
     kind = ModelKind.from_string(args.model)
-    quad = QuadratureSpec()
-    boundary_beta = kind is ModelKind.BETA and (args.a <= 1.0 or args.b <= 1.0)
     try:
         params = ShapeParams(kind, (args.a, args.b))
-        h = entropy_of(params, quad)
-        c1, c2, c3 = constraint_integrals(params, quad)
-        if not boundary_beta:
-            report = perturbation_audit(params, quad, trials=args.perturbations, seed=args.seed)
+        h = entropy_of(params)
+        report = perturbation_audit(params, trials=args.perturbations, seed=args.seed)
     except ValueError as exc:
         # out of bounds, or a shape the quadrature cannot normalize or audit
         print(f"unifit audit: {exc}", file=sys.stderr)
@@ -248,13 +244,9 @@ def _run_audit(args) -> int:
     print(f"model {kind.value} a={args.a:g} b={args.b:g}")
     print(f"mode: {mode(params):.10g}")
     print(f"H:  {h:.10g}")
-    print(f"C1: {c1:.10g}")
-    print(f"C2: {c2:.10g}")
-    print(f"C3: {c3:.10g}")
-
-    if boundary_beta:
-        print("perturbations: skipped (beta boundary exponents are unaudited)")
-        return EXIT_OK
+    print(f"C1: {report.C1:.10g}")
+    print(f"C2: {report.C2:.10g}")
+    print(f"C3: {report.C3:.10g}")
     print(
         f"perturbations: trials={report.perturbation_trials} "
         f"failures={report.perturbation_failures} "

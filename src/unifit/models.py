@@ -515,7 +515,7 @@ def _argmax_numeric(params: ShapeParams, n_grid: int = 4097, tol: float = 1e-10)
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = _scalar_log_shape(params, d)
-    return min(1.0, max(0.0, 0.5 * (lo + hi)))
+    return float(min(1.0, max(0.0, 0.5 * (lo + hi))))
 
 
 @lru_cache(maxsize=4096)

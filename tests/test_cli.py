@@ -88,6 +88,29 @@ class TestFitCommand:
             "fits_skewnormal.json",
         ]
 
+    def test_all_models_names_files_by_family_when_one_fit_survives(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # --model all writes {stem}_{family} even if only one fit succeeds
+        real_fit = cli.fit
+
+        def fit_maxent_only(series, kind, config):
+            if kind.value != "maxent":
+                raise cli.FitFailureError("synthetic failure", kind, ())
+            return real_fit(series, kind, config)
+
+        monkeypatch.setattr(cli, "fit", fit_maxent_only)
+        out_path = tmp_path / "fits.json"
+        code, _, _ = run(
+            capsys,
+            "fit",
+            "--model", "all",
+            "--input", str(bundled_dataset_path("universe25")),
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["fits_maxent.json"]
+
     def test_missing_input_exits_one(self, capsys):
         code, _, err = run(capsys, "fit", "--model", "maxent", "--input", "missing.csv")
         assert code == 1
@@ -244,7 +267,7 @@ class TestAuditCommand:
         assert code == 0
         h_line = next(ln for ln in out.splitlines() if ln.startswith("H:"))
         assert abs(float(h_line.split()[1])) < 1e-6
-        assert "skipped" in out  # boundary exponents are unaudited
+        assert "failures=0" in out  # the bounds a = b = 1 are audited too
 
     def test_out_of_bounds_exits_one(self, capsys):
         code, _, err = run(capsys, "audit", "--model", "maxent", "--a", "-1", "--b", "2")

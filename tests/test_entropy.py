@@ -176,14 +176,17 @@ class TestPerturbationAudit:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         kind=st.sampled_from([ModelKind.MAXENT, ModelKind.BETA]),
-        log_a=st.floats(-3.0, 3.0),
-        log_b=st.floats(-3.0, 3.0),
+        log_a=st.floats(-3.0, 3.0) | st.just(-np.inf),
+        log_b=st.floats(-3.0, 3.0) | st.just(-np.inf),
     )
     def test_maximizers_audit_clean_or_raise(self, kind, log_a, log_b):
-        # maxent (a, b), or beta (a - 1, b - 1), log-uniform over [1e-3, 1e3]:
-        # a maximizer by construction either audits clean or is too spiked
-        # for its constraints to be independent
+        # maxent (a, b), or beta (a - 1, b - 1), log-uniform over [1e-3, 1e3]
+        # plus, for beta, an exponent of exactly 1 (log -inf): a maximizer
+        # by construction either audits clean or is too spiked for its
+        # constraints to be independent
         shift = 1.0 if kind is ModelKind.BETA else 0.0
+        if not shift:  # maxent a, b must be > 0
+            log_a, log_b = max(log_a, -3.0), max(log_b, -3.0)
         params = ShapeParams(kind, (shift + 10.0**log_a, shift + 10.0**log_b))
         try:
             report = perturbation_audit(params, trials=50, seed=0)
@@ -192,9 +195,13 @@ class TestPerturbationAudit:
             return
         assert report.perturbation_failures == 0, params
 
-    def test_beta_boundary_exponent_rejected(self):
-        with pytest.raises(ValueError, match="unaudited"):
-            perturbation_audit(beta(1, 2), trials=10, seed=0)
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (4, 1), (1, 1000)], ids=str)
+    def test_beta_boundary_exponents_audit_clean(self, a, b):
+        # x^(a-1) (1-x)^(b-1) maximizes H under its own {1, log x,
+        # log(1-x)} integrals for a - 1 = 0 too: the bounds are audited
+        report = perturbation_audit(beta(a, b), trials=200, seed=0)
+        assert report.perturbation_trials == 200
+        assert report.perturbation_failures == 0
 
     def test_determinism(self):
         a = perturbation_audit(maxent(0.7, 3), trials=50, seed=99)

@@ -110,6 +110,12 @@ class TestMode:
         assert mode(params) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    def test_mode_is_a_python_float(self, kind):
+        # the numeric argmax of richards and skewnormal included, not np.float64
+        for i in range(5):
+            assert type(mode(random_params(kind, i))) is float
+
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
     def test_mode_agreement_with_dense_argmax(self, kind):
         # numeric argmax of evaluate on a 1e5 grid within 2e-5 of mode()
         xs = np.linspace(0.0, 1.0, 100_001)
