@@ -282,13 +282,17 @@ def read_fit(path) -> FitDocument:
 
     A document that is not a JSON object, or lacks a key or has a value
     ``write_fit`` never writes (a wrong JSON type, a non-finite number, a
-    negative rms or count, no start), raises ``SeriesFormatError`` naming it.
+    negative rms or count, no start), raises ``SeriesFormatError`` naming it,
+    as does one that is not UTF-8 text or not JSON.
     """
-    if hasattr(path, "read"):
-        doc = json.load(path)
-    else:
-        with io.open(Path(path), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    try:
+        if hasattr(path, "read"):
+            doc = json.load(path)
+        else:
+            with io.open(Path(path), "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SeriesFormatError(f"fit document is not UTF-8 JSON text: {exc}") from exc
     if not isinstance(doc, dict):
         raise SeriesFormatError(f"fit document must be a JSON object, got {type(doc).__name__}")
     kind = ModelKind.from_string(_field(doc, "model", str))

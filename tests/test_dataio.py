@@ -334,6 +334,16 @@ class TestReadFitMalformed:
         with pytest.raises(SeriesFormatError, match=path):
             read_fit(io.StringIO(text))
 
+    def test_truncated_json_is_format_error(self):
+        with pytest.raises(SeriesFormatError, match="not UTF-8 JSON"):
+            read_fit(io.StringIO('{"model": "maxent",'))
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(SeriesFormatError, match="not UTF-8 JSON"):
+            read_fit(path)
+
     def test_zero_rms_and_iterations_read(self):
         doc = _mutated_document((), {"rms_normalized": 0.0, "rms_original": 0,
                                      "optimizer.iterations_used": 0, "optimizer.starts": 1})

@@ -15,7 +15,19 @@ from unifit import (
     entropy_of,
     perturbation_audit,
 )
-from unifit.entropy import _density, _quad_nodes
+from unifit._seeds import mix64
+from unifit.entropy import (
+    _AUDIT_TAG,
+    _DEPENDENT_ROW,
+    _FAILURE_MARGIN,
+    _MAX_REDRAWS,
+    _PERTURBATION_SCALE,
+    _POLY_DEGREE,
+    _density,
+    _quad_nodes,
+    _require_entropy_family,
+    _weights_for,
+)
 
 # Closed-form differential entropies computed with a 40-digit independent
 # script (log B(a,b) - (a-1)psi(a) - (b-1)psi(b) + (a+b-2)psi(a+b) for the
@@ -33,6 +45,91 @@ def maxent(a, b):
 
 def beta(a, b):
     return ShapeParams(ModelKind.BETA, (a, b))
+
+
+def _per_trial_entropy(p, w):
+    lg = np.zeros_like(p)
+    np.log(p, out=lg, where=p > 0.0)
+    return -float(w @ (p * lg))
+
+
+def _reference_audit(params, quad=QuadratureSpec(), trials=200, seed=0):
+    """The audit scored one trial at a time: the loop ``perturbation_audit``
+    ran before it scored trials in blocks, kept verbatim."""
+    _require_entropy_family(params)
+    grid, w = _quad_nodes(quad.node_count, quad.endpoint_cutoff)
+    p = _density(params, grid, w)
+    f, g = _weights_for(params, grid)
+    h0 = _per_trial_entropy(p, w)
+
+    powers = np.vander(grid.xs, _POLY_DEGREE + 1, increasing=True).T
+    V = p * powers
+    constraints = np.stack([np.ones_like(grid.xs), f, g])
+    M = (constraints * w) @ V.T
+
+    Q, R = np.linalg.qr(M.T)
+    for k in range(M.shape[0]):
+        if not abs(R[k, k]) > _DEPENDENT_ROW * np.linalg.norm(M[k]):  # also NaN
+            raise ValueError(
+                f"{params.kind.value} {params.named()} cannot be audited: constraint "
+                f"{k + 1} is numerically dependent on the ones before it"
+            )
+
+    peak = float(p.max())
+    target = _PERTURBATION_SCALE * peak
+    failures = 0
+    skipped = 0
+    for trial in range(trials):
+        delta = None
+        for redraw in range(_MAX_REDRAWS + 1):
+            rng = np.random.default_rng(mix64(seed, _AUDIT_TAG, trial, redraw))
+            c = rng.standard_normal(_POLY_DEGREE + 1)
+            c -= Q @ (Q.T @ c)
+            cand = c @ V
+            norm = float(np.max(np.abs(cand)))
+            if norm > 1e-12 * peak:
+                delta = cand * (target / norm)
+                break
+        if delta is None:
+            skipped += 1
+            continue
+
+        perturbed = p + delta
+        if float(perturbed.min()) < 0.0:
+            neg = delta < 0.0
+            shrink = float(np.min(p[neg] / -delta[neg])) * (1.0 - 1e-9)
+            if shrink <= 0.0:
+                skipped += 1
+                continue
+            if shrink < 1.0:
+                delta = delta * shrink
+                perturbed = p + delta
+        np.maximum(perturbed, 0.0, out=perturbed)
+
+        if _per_trial_entropy(perturbed, w) > h0 + _FAILURE_MARGIN:
+            failures += 1
+
+    return AuditReport(
+        H=h0,
+        C1=float(w @ p),
+        C2=float(w @ (f * p)),
+        C3=float(w @ (g * p)),
+        perturbation_trials=trials,
+        perturbation_failures=failures,
+        perturbation_skipped=skipped,
+    )
+
+
+def _first_draw(params, seed, trial):
+    """(p, the first draw's perturbation before scaling, its sup norm)."""
+    grid, w = _quad_nodes(2001, 1e-8)
+    p = _density(params, grid, w)
+    f, g = _weights_for(params, grid)
+    V = p * np.vander(grid.xs, _POLY_DEGREE + 1, increasing=True).T
+    Q, _ = np.linalg.qr(((np.stack([np.ones_like(f), f, g]) * w) @ V.T).T)
+    c = np.random.default_rng(mix64(seed, _AUDIT_TAG, trial, 0)).standard_normal(_POLY_DEGREE + 1)
+    cand = (c - Q @ (Q.T @ c)) @ V
+    return p, cand, float(np.max(np.abs(cand)))
 
 
 class TestEntropy:
@@ -203,10 +300,60 @@ class TestPerturbationAudit:
         assert report.perturbation_trials == 200
         assert report.perturbation_failures == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known failure: a true maximizer whose spiked shape fails the "
+        "perturbation audit spuriously; the deterministic certificate of "
+        "ROADMAP item 7 is the standing remedy",
+    )
+    def test_spiked_maximizer_maxent_1000_0_001_audits_clean(self):
+        # fails 3 of 200 trials at seed 0; the fixed examples of the
+        # property test above miss this shape
+        report = perturbation_audit(maxent(1000, 0.001), trials=200, seed=0)
+        assert report.perturbation_failures == 0
+
     def test_determinism(self):
         a = perturbation_audit(maxent(0.7, 3), trials=50, seed=99)
         b = perturbation_audit(maxent(0.7, 3), trials=50, seed=99)
         assert a == b
+
+
+class TestBlockedAuditMatchesPerTrialLoop:
+    # blocks of matrix products are not bit-equal to per-trial dot
+    # products, so a trial whose entropy gain sits at the failure margin
+    # may flip; away from spikes none does, and the reports are equal
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from([ModelKind.MAXENT, ModelKind.BETA]),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+        trials=st.sampled_from([0, 1, 15, 16, 17, 50, 200]),
+    )
+    def test_reports_equal_over_cli_session_domain(self, kind, u, v, seed, trials):
+        # exponents log-uniform: maxent a, b in [0.05, 5], beta a, b in [1.2, 20]
+        lo, hi = (0.05, 5.0) if kind is ModelKind.MAXENT else (1.2, 20.0)
+        a, b = (float(lo * (hi / lo) ** t) for t in (u, v))
+        params = ShapeParams(kind, (a, b))
+        expected = _reference_audit(params, trials=trials, seed=seed)
+        assert perturbation_audit(params, trials=trials, seed=seed) == expected
+
+    def test_redraw_path(self):
+        params = beta(3, 3792.69)
+        p, _, norm = _first_draw(params, seed=0, trial=50)
+        assert not norm > 1e-12 * p.max()  # trial 50's first draw is degenerate
+        report = perturbation_audit(params, trials=200, seed=0)
+        assert report == _reference_audit(params, trials=200, seed=0)
+        assert (report.perturbation_failures, report.perturbation_skipped) == (0, 0)
+
+    def test_shrink_path(self):
+        params = maxent(0.1, 3)
+        p, cand, norm = _first_draw(params, seed=0, trial=11)
+        assert (p + cand * (_PERTURBATION_SCALE * p.max() / norm)).min() < 0.0
+        assert perturbation_audit(params, trials=50, seed=0) == _reference_audit(
+            params, trials=50, seed=0
+        )
 
 
 class TestQuadratureSpec:
