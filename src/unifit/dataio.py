@@ -139,11 +139,12 @@ def load_series(source) -> RawSeries:
         if hasattr(source, "read"):
             text = source.read()
             if isinstance(text, bytes):
-                text = text.decode("utf-8")
+                text = text.decode("utf-8-sig")
+            text = text.removeprefix("\ufeff")
         elif isinstance(source, bytes):
-            text = source.decode("utf-8")
+            text = source.decode("utf-8-sig")
         else:
-            text = Path(source).read_text(encoding="utf-8")
+            text = Path(source).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SeriesFormatError(f"input is not UTF-8 text: {exc}") from exc
 

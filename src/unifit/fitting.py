@@ -13,8 +13,10 @@ steps on the projected residual, with Marquardt damping.  The loss, the
 partials and ``fit``'s report of the winning start all map z to theta by
 those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 
-Multi-start: initial points come from a seeded Latin hypercube over the
-per-family start ranges in ``models.FAMILIES``, mapped to theta by
+Starts: maxent and beta (log shapes linear in theta) start from the
+closed-form weighted least-squares fit of log y on (1, f, g) and fall back
+to a seeded Latin hypercube over the per-family start ranges in
+``models.FAMILIES``, mapped to theta by
 ``models.Param.from_unit`` (as the benchmark's generation draws are) and
 then to z.  The pool is built in blocks of 16 (the default start count),
 so the pool for ``starts=k`` is a prefix of the pool for any larger count
@@ -96,7 +98,8 @@ class FitConfig:
     or when it lowers the rms by at most 1e-6 of itself, no larger fall
     was predicted and the fall was at most twice the prediction (a
     relative test); or when its damping grows so large that no step of
-    useful length lowers the loss.
+    useful length lowers the loss.  ``starts`` and ``seed`` size and seed
+    the start pool, which maxent and beta run only as a fallback (``fit``).
 
     ``simplex_tolerance`` (no simplex is left) and the 2000 default keep
     their names and values because the benchmark's cross-table input digest
@@ -385,41 +388,32 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     return z_out, f_out, it_out, cv_out
 
 
-def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig()) -> FitResult:
-    """Fit one model family to a normalized series.
+def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """Coefficients (3,) of the least-squares fit c0 + c1 f + c2 g to log y
+    with row weights w, from the normal equations of unit-norm columns,
+    refined once (f and g of a narrow shape are nearly collinear); None
+    where the solve is singular or not finite."""
+    X = np.stack([w, w * f, w * g], axis=1)
+    scale = np.sqrt(np.add.reduce(X * X, axis=0))
+    X /= scale
+    N = np.add.reduce(X[:, :, None] * X[:, None, :], axis=0)
+    b = w * log_y
+    try:
+        u = np.linalg.solve(N, np.add.reduce(X * b[:, None], axis=0))
+        r = b - np.add.reduce(X * u, axis=1)
+        u += np.linalg.solve(N, np.add.reduce(X * r[:, None], axis=0))
+    except np.linalg.LinAlgError:
+        return None
+    return u / scale if np.isfinite(u).all() else None
 
-    The series must have xs within [0, 1] and a positive maximum no
-    larger than 1.5 — unit peak plus headroom for additive noise; see
-    ``dataio.normalize``.
-    """
-    if len(observed) < 2:
-        raise ValueError("observed series must have at least 2 points")
-    ymax = float(observed.ys.max())
-    if not np.isfinite(observed.ys).all():
-        raise ValueError("observed series contains non-finite values")
-    # unit-peak data plus headroom for additive noise on synthetic series;
-    # anything larger is raw unnormalized input
-    if ymax > _MAX_PEAK:
-        raise ValueError(f"series is not normalized: max(ys) = {ymax!r} > {_MAX_PEAK}")
-    if ymax <= 0.0:
-        raise FitFailureError(
-            "series is identically <= 0; amplitude is degenerate",
-            kind,
-            (),
-        )
 
-    batch_rms, normal_equations = _projection(kind, EvalGrid(observed.xs), observed.ys)
-    zb, fb, iters, conv = _lm_lockstep(
-        batch_rms, normal_equations, start_pool(kind, config.starts, config.seed),
-        config.simplex_tolerance, min(config.max_iterations, _MAX_PASSES),
-    )
-
+def _result(kind, batch_rms, zb, fb, iters, conv, spent: int = 0) -> FitResult:
+    """A lockstep run's best start as a FitResult, plus ``spent`` passes."""
     best = int(np.argmin(fb))  # exact ties resolve to the lowest start index
     start_losses = tuple(float(v) for v in fb)
     if not math.isfinite(start_losses[best]):
         raise FitFailureError(
-            f"all {config.starts} starts diverged to non-finite loss for "
-            f"{kind.value}",
+            f"all {len(start_losses)} starts diverged to non-finite loss for {kind.value}",
             kind,
             start_losses,
         )
@@ -440,15 +434,62 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         ) from exc
     if not (math.isfinite(amplitude) and amplitude > 0.0):
         raise FitFailureError(
-            f"degenerate profiled amplitude {amplitude!r} for {kind.value}",
-            kind,
-            start_losses,
+            f"degenerate profiled amplitude {amplitude!r} for {kind.value}", kind, start_losses
         )
 
     return FitResult(
         model=CurveModel(params, amplitude),
         rms=start_losses[best],
         start_losses=start_losses,
-        iterations_used=int(iters.sum()),
+        iterations_used=int(iters.sum()) + spent,
         converged=bool(conv[best]),
     )
+
+
+def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig()) -> FitResult:
+    """Fit one model family to a normalized series.
+
+    The series must have xs within [0, 1] and a positive maximum no
+    larger than 1.5 — unit peak plus headroom for additive noise; see
+    ``dataio.normalize``.
+
+    Maxent and beta return the run from their closed-form start when it
+    converges to a finite, representable optimum; else the pool's result,
+    with the closed-form run's passes added to ``iterations_used``.
+    """
+    if len(observed) < 2:
+        raise ValueError("observed series must have at least 2 points")
+    ymax = float(observed.ys.max())
+    if not np.isfinite(observed.ys).all():
+        raise ValueError("observed series contains non-finite values")
+    # unit-peak data plus headroom for additive noise on synthetic series;
+    # anything larger is raw unnormalized input
+    if ymax > _MAX_PEAK:
+        raise ValueError(f"series is not normalized: max(ys) = {ymax!r} > {_MAX_PEAK}")
+    if ymax <= 0.0:
+        raise FitFailureError("series is identically <= 0; amplitude is degenerate", kind, ())
+
+    grid = EvalGrid(observed.xs)
+    batch_rms, normal = _projection(kind, grid, observed.ys)
+    tol, cap = config.simplex_tolerance, min(config.max_iterations, _MAX_PASSES)
+    family, spent, c = FAMILIES[kind], 0, None
+    if family.linear is not None:
+        # log y on (1, f, g) where y is above 2% of its maximum and f and g
+        # are finite, weighted by y (the first-order error of log y is dy / y)
+        f, g = (getattr(grid, name) for name in family.weights)
+        use = (observed.ys > 0.02 * ymax) & np.isfinite(f) & np.isfinite(g)
+        y = observed.ys[use]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = _log_linear(np.log(y), y, f[use], g[use]) if y.size >= 3 else None
+    if c is not None:
+        k, t = family.linear  # theta clamped 1e-6 inside the bound t
+        z0 = family.coords[1](t + np.maximum(k * c[None, 1:], 1e-6))
+        one = _lm_lockstep(batch_rms, normal, z0, tol, cap)
+        spent = int(one[2][0])
+        if one[3][0] and math.isfinite(one[1][0]):
+            try:
+                return _result(kind, batch_rms, *one)
+            except FitFailureError:
+                pass  # theta off the bounds or a degenerate amplitude
+    pool = start_pool(kind, config.starts, config.seed)
+    return _result(kind, batch_rms, *_lm_lockstep(batch_rms, normal, pool, tol, cap), spent)

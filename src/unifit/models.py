@@ -394,7 +394,8 @@ class Family:
     with ``partials`` giving d log s / d theta_j.  ``mode`` is the analytic
     peak location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
-    audit's constraint integrals (None: the family is not audited).
+    audit's constraint integrals (None: the family is not audited); log s is
+    c0 + c1 f + c2 g at theta = t + k (c1, c2), (k, t) = ``linear``, t the bound.
     """
 
     display_name: str
@@ -406,6 +407,7 @@ class Family:
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
+    linear: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.coords is None:
@@ -450,7 +452,7 @@ FAMILIES: dict[ModelKind, Family] = {
         "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))",
         (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
          Param("b", "pos", 0.05, 50.0, (0.02, 0.7), True)),
-        mode=_mode_maxent, weights=("inv_x", "inv_omx"),
+        mode=_mode_maxent, weights=("inv_x", "inv_omx"), linear=(-1.0, 0.0),
     ),
     ModelKind.BETA: Family(
         "Beta", "#ff7f0e", _ls_beta, _dls_beta,
@@ -458,7 +460,7 @@ FAMILIES: dict[ModelKind, Family] = {
         "under logarithmic boundary weights",
         (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),
          Param("b", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True)),
-        mode=_mode_beta, weights=("log_x", "log_omx"),
+        mode=_mode_beta, weights=("log_x", "log_omx"), linear=(1.0, 1.0),
     ),
 }
 

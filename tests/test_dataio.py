@@ -105,6 +105,28 @@ class TestLoadSeries:
         from_path = load_series(path)
         np.testing.assert_array_equal(from_bytes.values, from_path.values)
 
+    @pytest.mark.parametrize("source", ["path", "bytes", "stream", "text"])
+    def test_byte_order_mark_keeps_the_first_row(self, source, tmp_path):
+        # "CSV UTF-8" files start with EF BB BF; undecoded, the first row
+        # failed to parse and was dropped as the optional header
+        data = "\ufeff1,5\n2,9\n3,4\n4,1\n".encode("utf-8")
+        assert data[:3] == b"\xef\xbb\xbf"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(data)
+        wrapped = {
+            "path": path,
+            "bytes": data,
+            "stream": io.BytesIO(data),
+            "text": io.StringIO(data.decode("utf-8")),
+        }[source]
+        raw = load_series(wrapped)
+        np.testing.assert_array_equal(raw.times, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(raw.values, [5.0, 9.0, 4.0, 1.0])
+
+    def test_byte_order_mark_before_a_header(self):
+        raw = load_series("\ufefft,v\n1,5\n2,9\n3,4\n".encode("utf-8"))
+        np.testing.assert_array_equal(raw.times, [1.0, 2.0, 3.0])
+
 
 class TestNormalize:
     def test_zero_padding_hits_unit_endpoints(self):
@@ -206,7 +228,8 @@ class TestWriteReadFit:
         assert doc["model"] == "maxent"
         assert set(doc["parameters"]) == {"a", "b"}
         assert doc["rms_original"] == pytest.approx(result.rms * transform.y_scale)
-        assert doc["optimizer"]["starts"] == 16
+        # the number of starts run: 1 for a maxent fit from its closed-form start
+        assert doc["optimizer"]["starts"] == len(result.start_losses) == 1
         assert isinstance(doc["optimizer"]["converged"], bool)
         assert doc["version"]
 

@@ -388,19 +388,24 @@ class TestLockstep:
             return logged_loss, logged_normal
 
         monkeypatch.setattr(fitting, "_projection", logged_projection)
-        fit(lockstep_series["universe25"], kind, FitConfig(seed=0))
-        assert rows["normal"] >= 16 and rows["loss"] > rows["normal"]
+        result = fit(lockstep_series["universe25"], kind, FitConfig(seed=0))
+        # every start the fit ran: 16, or 1 from a closed-form start
+        assert rows["normal"] >= len(result.start_losses) and rows["loss"] > rows["normal"]
         assert rows["kernel"] == rows["loss"]
         assert rows["partials"] == rows["normal"]
 
     @pytest.mark.parametrize(
         "name,kind,seed", [("universe25", ModelKind.MAXENT, 0), ("st_matthew", ModelKind.RICHARDS, 3)]
     )
-    def test_fit_returns_the_parameters_it_scored(self, name, kind, seed):
+    def test_fit_returns_the_parameters_it_scored(self, name, kind, seed, monkeypatch):
         # the winning start's z under the loss's own z -> theta map; a
         # scalar copy of the map (math.exp) is one ulp off on these fits
         series = normalize(load_series(bundled_dataset_path(name)))[0]
         loss, normal, Z0 = _lockstep_inputs(kind, series, seed)
+        if FAMILIES[kind].linear is not None:  # the start the fit ran: its closed-form one
+            Z0 = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=seed))[1][0]
+            monkeypatch.undo()
+            assert Z0.shape[0] == 1
         z, F, _, _ = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
         scored = FAMILIES[kind].coords[0](z[np.argmin(F)][None])[0][0]
         assert tuple(map(float, scored)) == fit(series, kind, FitConfig(seed=seed)).model.params.values
@@ -546,6 +551,157 @@ class TestPartials:
         ends = ends.get(kind, [])
         assert (s[:, ends] == 0.0).all()
         assert (ds[:, :, ends] == 0.0).all()
+
+
+EXACT_SHAPES = [
+    (ModelKind.MAXENT, (0.02, 0.7)),
+    (ModelKind.MAXENT, (0.3, 0.5)),
+    (ModelKind.MAXENT, (5.0, 0.1)),
+    (ModelKind.MAXENT, (50.0, 50.0)),
+    (ModelKind.BETA, (1.05, 1.2)),
+    (ModelKind.BETA, (3.0, 5.0)),
+    (ModelKind.BETA, (51.0, 1.05)),
+]
+# beta (51, 1.05) on 22 points has only two points above 2% of the maximum
+# (the closed-form start needs three): the fallback test below uses it
+TWO_POINTS = (ModelKind.BETA, (51.0, 1.05), 22)
+
+
+def _shape_series(kind, theta, n):
+    return sample_series(CurveModel(ShapeParams(kind, theta), 1.0), n)
+
+
+def _fit_logging_runs(monkeypatch, series, kind, config, lockstep=fitting._lm_lockstep):
+    """fit(series, kind, config), and the starts (a z-matrix) and the summed
+    passes of each lockstep run it made, the run itself being ``lockstep``."""
+    runs, passes = [], []
+
+    def logged(loss, normal, Z0, tol, max_iter):
+        out = lockstep(loss, normal, Z0, tol, max_iter)
+        runs.append(Z0.copy())
+        passes.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(fitting, "_lm_lockstep", logged)
+    return fit(series, kind, config), runs, passes
+
+
+def _assert_pool_result(result, series, kind, config, spent=0, lockstep=fitting._lm_lockstep):
+    # the result of the seeded pool alone, as before closed-form starts
+    loss, normal = fitting._projection(kind, EvalGrid(series.xs), series.ys)
+    pool = start_pool(kind, config.starts, config.seed)
+    z, F, passes, _ = lockstep(loss, normal, pool, 1e-12, 200)
+    assert len(result.start_losses) == config.starts
+    assert result.start_losses == tuple(map(float, F))
+    theta = FAMILIES[kind].coords[0](z[np.argmin(F)][None])[0][0]
+    assert result.model.params.values == tuple(map(float, theta))
+    assert result.iterations_used == passes.sum() + spent
+
+
+class TestClosedFormStart:
+    @pytest.mark.parametrize(
+        "kind,theta,n",
+        [(k, theta, n) for k, theta in EXACT_SHAPES for n in (22, 101, 1001)
+         if (k, theta, n) != TWO_POINTS],
+        ids=lambda v: getattr(v, "value", str(v)),
+    )
+    def test_noiseless_shape_gives_its_parameters(self, kind, theta, n, monkeypatch):
+        series = _shape_series(kind, theta, n)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=0))
+        assert len(runs) == 1 and len(result.start_losses) == 1
+        start = FAMILIES[kind].coords[0](runs[0])[0][0]
+        # one refinement step holds this; without it maxent (50, 50) on 22
+        # points, whose f and g are nearly collinear, is off by 8e-10
+        np.testing.assert_allclose(start, theta, rtol=1e-12, atol=0)
+        assert result.rms < 1e-12
+
+    @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA], ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", BUNDLED_DATASETS)
+    def test_start_is_the_weighted_log_linear_fit(self, name, kind, monkeypatch):
+        # against lstsq of y log y on the y-weighted columns (1, f, g), over
+        # the points above 2% of the maximum (both datasets have points
+        # between 1% and 2%) with f and g finite
+        series = normalize(load_series(bundled_dataset_path(name)))[0]
+        _, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=0))
+        grid = EvalGrid(series.xs)
+        f, g = (getattr(grid, w) for w in FAMILIES[kind].weights)
+        use = (series.ys > 0.02 * series.ys.max()) & np.isfinite(f) & np.isfinite(g)
+        y = series.ys[use]
+        X = y[:, None] * np.column_stack([np.ones_like(y), f[use], g[use]])
+        c = np.linalg.lstsq(X, y * np.log(y), rcond=None)[0]
+        k, t = FAMILIES[kind].linear
+        assert (k * c[1:] > 0).all()  # inside the bounds: no clamp
+        start = FAMILIES[kind].coords[0](runs[0])[0][0]
+        np.testing.assert_allclose(start, t + k * c[1:], rtol=1e-9, atol=0)
+
+    def test_two_usable_points_fall_back(self, monkeypatch):
+        kind, theta, n = TWO_POINTS
+        series = _shape_series(kind, theta, n)
+        assert np.count_nonzero(series.ys > 0.02 * series.ys.max()) == 2
+        config = FitConfig(seed=3)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
+        assert [len(z) for z in runs] == [16]
+        _assert_pool_result(result, series, kind, config)
+
+    def test_non_finite_solve_falls_back(self, monkeypatch):
+        solve = np.linalg.solve
+
+        def nan_solve(M, b):  # NaN for the 3x3 log-linear solves only
+            if np.shape(M) == (3, 3):
+                solved.append(M)
+                return np.full(b.shape, np.nan)
+            return solve(M, b)
+
+        solved = []
+        monkeypatch.setattr(np.linalg, "solve", nan_solve)
+        series = normalize(load_series(bundled_dataset_path("universe25")))[0]
+        config = FitConfig(seed=2)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, ModelKind.MAXENT, config)
+        assert solved and [len(z) for z in runs] == [16]
+        _assert_pool_result(result, series, ModelKind.MAXENT, config)
+
+    def test_unconverged_run_falls_back(self, monkeypatch):
+        lockstep = fitting._lm_lockstep
+
+        def unconverged_alone(loss, normal, Z0, tol, max_iter):
+            z, F, passes, converged = lockstep(loss, normal, Z0, tol, max_iter)
+            if Z0.shape[0] == 1:
+                assert converged[0]  # as it would have returned
+                converged = np.zeros_like(converged)
+            return z, F, passes, converged
+
+        series = normalize(load_series(bundled_dataset_path("st_matthew")))[0]
+        config = FitConfig(seed=1)
+        result, runs, passes = _fit_logging_runs(
+            monkeypatch, series, ModelKind.BETA, config, unconverged_alone
+        )
+        assert [len(z) for z in runs] == [1, 16]
+        _assert_pool_result(result, series, ModelKind.BETA, config, spent=passes[0])
+
+    def test_optimum_off_the_bounds_falls_back(self, monkeypatch):
+        calls = []
+
+        def first_fails(kind, values):
+            calls.append(tuple(values))
+            if len(calls) == 1:
+                raise ParameterBoundsError("off the bounds")
+            return ShapeParams(kind, values)
+
+        monkeypatch.setattr(fitting, "ShapeParams", first_fails)
+        series = normalize(load_series(bundled_dataset_path("universe25")))[0]
+        config = FitConfig(seed=4)
+        result, runs, passes = _fit_logging_runs(monkeypatch, series, ModelKind.MAXENT, config)
+        # the closed-form optimum raised, the pool's did not
+        assert [len(z) for z in runs] == [1, 16] and len(calls) == 2
+        _assert_pool_result(result, series, ModelKind.MAXENT, config, spent=passes[0])
+
+    @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA], ids=lambda k: k.value)
+    @pytest.mark.parametrize("name", BUNDLED_DATASETS)
+    def test_fit_does_not_depend_on_the_seed(self, name, kind):
+        series = normalize(load_series(bundled_dataset_path(name)))[0]
+        fits = [fit(series, kind, FitConfig(seed=seed)) for seed in range(6)]
+        assert len(fits[0].start_losses) == 1
+        assert all(f == fits[0] for f in fits)
 
 
 class TestStartPool:
