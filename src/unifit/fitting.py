@@ -13,10 +13,14 @@ steps on the projected residual, with Marquardt damping.  The loss, the
 partials and ``fit``'s report of the winning start all map z to theta by
 those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 
-Starts: maxent and beta (log shapes linear in theta) start from the
-closed-form weighted least-squares fit of log y on (1, f, g) and fall back
-to a seeded Latin hypercube over the per-family start ranges in
-``models.FAMILIES``, mapped to theta by
+Starts: maxent, beta and gengamma, whose log shapes are linear in theta on
+two columns f, g (gengamma's at each fixed power p), start from a
+closed-form scan: the weighted least-squares fit of log y on (1, f, g) for
+each candidate pair of their ``models.Family.linear`` (one for maxent and
+beta, 24 powers for gengamma), the candidate of lowest profiled rms among
+those inside the bounds running alone.  They fall back, as richards and
+skewnormal always start, to a seeded Latin hypercube over the per-family
+start ranges in ``models.FAMILIES``, mapped to theta by
 ``models.Param.from_unit`` (as the benchmark's generation draws are) and
 then to z.  The pool is built in blocks of 16 (the default start count),
 so the pool for ``starts=k`` is a prefix of the pool for any larger count
@@ -34,8 +38,10 @@ residual is near zero); or when the step lowers its rms by at most 1e-6 of
 the rms before the step, the model predicted no larger fall and the fall
 was not more than twice the prediction (a relative test, which ends fits
 that settle on a non-zero residual, such as noisy data or another
-family's series); or when its damping passes a ceiling.  It stops
-unconverged at the pass cap.
+family's series); or when a step is rejected at an rms of at most that
+tolerance (a start already at its optimum to round-off, as a closed-form
+start of a noiseless shape is); or when its damping passes a ceiling.  It
+stops unconverged at the pass cap.
 """
 
 from __future__ import annotations
@@ -97,9 +103,11 @@ class FitConfig:
     lowers its rms by at most ``simplex_tolerance`` (an absolute amount);
     or when it lowers the rms by at most 1e-6 of itself, no larger fall
     was predicted and the fall was at most twice the prediction (a
-    relative test); or when its damping grows so large that no step of
-    useful length lowers the loss.  ``starts`` and ``seed`` size and seed
-    the start pool, which maxent and beta run only as a fallback (``fit``).
+    relative test); or when a step is rejected at an rms of at most
+    ``simplex_tolerance``; or when its damping grows so large that no step
+    of useful length lowers the loss.  ``starts`` and ``seed`` size and
+    seed the start pool, which maxent, beta and gengamma run only as the
+    fallback of their closed-form start (``fit``).
 
     ``simplex_tolerance`` (no simplex is left) and the 2000 default keep
     their names and values because the benchmark's cross-table input digest
@@ -317,9 +325,11 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     most _REL_FALL * F with a predicted fall of the mean square of at most
     2 _REL_FALL F^2 and a gain ratio of at most 2, which ends fits that
     settle on a non-zero residual (MINPACK's ftol test, Moré 1978); or
-    when lambda passes _LAMBDA_MAX.  It stops unconverged after
-    ``max_iter`` passes, or at once where its loss or normal equations are
-    not finite.  Finished starts are compacted out of the working arrays.
+    when a step is rejected at F <= ``tol`` (the start is at its optimum
+    to round-off); or when lambda passes _LAMBDA_MAX.  It stops
+    unconverged after ``max_iter`` passes, or at once where its loss or
+    normal equations are not finite.  Finished starts are compacted out of
+    the working arrays.
     """
     S = Z0.shape[0]
     z_out = Z0.copy()
@@ -369,7 +379,8 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
                 & (predicted <= 2.0 * _REL_FALL * F * F)
                 & (gain <= 2.0)
             )
-            converged = accept & ((F - Ft <= tol) | settled)
+            # a rejected step at F <= tol: the start is at its optimum to round-off
+            converged = np.where(accept, (F - Ft <= tol) | settled, F <= tol)
             np.divide(lam, _LAMBDA_DOWN, out=lam, where=gain > _GAIN_HIGH)
             # NaN: a zero or non-finite step
             np.multiply(lam, _LAMBDA_UP, out=lam, where=~(gain >= _GAIN_LOW))
@@ -388,23 +399,50 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     return z_out, f_out, it_out, cv_out
 
 
-def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray):
-    """Coefficients (3,) of the least-squares fit c0 + c1 f + c2 g to log y
-    with row weights w, from the normal equations of unit-norm columns,
-    refined once (f and g of a narrow shape are nearly collinear); None
-    where the solve is singular or not finite."""
-    X = np.stack([w, w * f, w * g], axis=1)
+def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients (P, 3) of the least-squares fits c0 + c1 f + c2 g to
+    log y (n,) with row weights w (n,), one per column of f and g ((n, P)
+    or broadcasting to it), from the normal equations of unit-norm
+    columns, refined once (f and g of a narrow shape are nearly collinear);
+    a singular system gives its minimum-norm solution.  The sums run over
+    the points in order, whatever P, and the normal equations are built a
+    row at a time: no (n, P, 3, 3) temporary."""
+    w = w[:, None]
+    X = np.stack(np.broadcast_arrays(w, w * f, w * g), axis=2)
     scale = np.sqrt(np.add.reduce(X * X, axis=0))
     X /= scale
-    N = np.add.reduce(X[:, :, None] * X[:, None, :], axis=0)
-    b = w * log_y
-    try:
-        u = np.linalg.solve(N, np.add.reduce(X * b[:, None], axis=0))
-        r = b - np.add.reduce(X * u, axis=1)
-        u += np.linalg.solve(N, np.add.reduce(X * r[:, None], axis=0))
-    except np.linalg.LinAlgError:
+    N = np.stack([np.add.reduce(X[:, :, i, None] * X, axis=0) for i in range(3)], axis=1)
+    b = w * log_y[:, None]
+    u = _solve_rows(N, np.add.reduce(X * b[:, :, None], axis=0))
+    r = b - np.add.reduce(X * u, axis=2)
+    u += _solve_rows(N, np.add.reduce(X * r[:, :, None], axis=0))
+    return u / scale
+
+
+def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rms):
+    """The family's closed-form start (1, d) in z, or None when it has none
+    or no candidate is valid.  Each candidate of ``FAMILIES[kind].linear``
+    regresses log y on its (1, f, g) over the points where y is above 2% of
+    its maximum and every candidate's f and g are finite, weighted by y
+    (the first-order error of log y is dy / y); there must be at least 3
+    such points.  A candidate is valid with theta and z finite and strictly
+    inside the bounds (no clamp); of several, the one of lowest profiled
+    rms wins, the lowest index on ties."""
+    family = FAMILIES[kind]
+    if family.linear is None:
         return None
-    return u / scale if np.isfinite(u).all() else None
+    f, g, to_theta = family.linear(grid)
+    use = (ys > 0.02 * ys.max()) & np.isfinite(f).all(axis=0) & np.isfinite(g).all(axis=0)
+    if np.count_nonzero(use) < 3:
+        return None
+    y = ys[use]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta = to_theta(_log_linear(np.log(y), y, f[:, use].T, g[:, use].T))
+        z = family.coords[1](theta)
+        z = z[family.inside(theta) & np.isfinite(z).all(axis=1)]
+        if len(z) > 1:
+            z = z[np.argmin(batch_rms(z)[0])][None]
+    return z if len(z) else None
 
 
 def _result(kind, batch_rms, zb, fb, iters, conv, spent: int = 0) -> FitResult:
@@ -453,9 +491,11 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
     larger than 1.5 — unit peak plus headroom for additive noise; see
     ``dataio.normalize``.
 
-    Maxent and beta return the run from their closed-form start when it
-    converges to a finite, representable optimum; else the pool's result,
-    with the closed-form run's passes added to ``iterations_used``.
+    Maxent, beta and gengamma return the run from their closed-form start
+    when it converges to a finite, representable optimum; else (no valid
+    candidate, an unconverged or non-finite run, or an optimum ``fit``
+    cannot represent) the pool's result, with the closed-form run's passes
+    added to ``iterations_used``.
     """
     if len(observed) < 2:
         raise ValueError("observed series must have at least 2 points")
@@ -472,18 +512,9 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
     grid = EvalGrid(observed.xs)
     batch_rms, normal = _projection(kind, grid, observed.ys)
     tol, cap = config.simplex_tolerance, min(config.max_iterations, _MAX_PASSES)
-    family, spent, c = FAMILIES[kind], 0, None
-    if family.linear is not None:
-        # log y on (1, f, g) where y is above 2% of its maximum and f and g
-        # are finite, weighted by y (the first-order error of log y is dy / y)
-        f, g = (getattr(grid, name) for name in family.weights)
-        use = (observed.ys > 0.02 * ymax) & np.isfinite(f) & np.isfinite(g)
-        y = observed.ys[use]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            c = _log_linear(np.log(y), y, f[use], g[use]) if y.size >= 3 else None
-    if c is not None:
-        k, t = family.linear  # theta clamped 1e-6 inside the bound t
-        z0 = family.coords[1](t + np.maximum(k * c[None, 1:], 1e-6))
+    spent = 0
+    z0 = _closed_form_start(kind, grid, observed.ys, batch_rms)
+    if z0 is not None:
         one = _lm_lockstep(batch_rms, normal, z0, tol, cap)
         spent = int(one[2][0])
         if one[3][0] and math.isfinite(one[1][0]):

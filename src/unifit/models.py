@@ -282,6 +282,32 @@ def _dls_gengamma(alpha, d, p, grid: EvalGrid):
     return p * e, dm1 * grid.log_x - e, (p - _GENGAMMA_P_MIN) * dz3
 
 
+# --- closed-form start candidates (``Family.linear``) ----------------------
+
+
+def _linear_in(f: str, g: str, k: float, t: float) -> Callable:
+    """One candidate: f and g the named ``EvalGrid`` arrays and theta =
+    t + k (c1, c2)."""
+
+    def start(grid: EvalGrid):
+        return getattr(grid, f)[None], getattr(grid, g)[None], lambda c: t + k * c[:, 1:]
+
+    return start
+
+
+def _start_gengamma(grid: EvalGrid):
+    # at a fixed power p, log s = (d - 1) log x - alpha^-p x^p; 24 powers,
+    # log-spaced over the start range of p
+    spec = FAMILIES[ModelKind.GENGAMMA].params[2]
+    p = spec.from_unit(np.linspace(0.0, 1.0, 24), spec.lo, spec.hi)
+    g = -(grid.xs ** p[:, None])
+
+    def to_theta(c: np.ndarray) -> np.ndarray:
+        return np.stack([c[:, 2] ** (-1.0 / p), 1.0 + c[:, 1], p], axis=1)
+
+    return grid.log_x[None], g, to_theta
+
+
 # --- z <-> theta maps -----------------------------------------------------
 
 
@@ -394,8 +420,13 @@ class Family:
     with ``partials`` giving d log s / d theta_j.  ``mode`` is the analytic
     peak location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
-    audit's constraint integrals (None: the family is not audited); log s is
-    c0 + c1 f + c2 g at theta = t + k (c1, c2), (k, t) = ``linear``, t the bound.
+    audit's constraint integrals (None: the family is not audited).
+    ``linear`` builds the fitter's closed-form start candidates (None: the
+    family has none): it maps an ``EvalGrid`` to P column pairs f, g, each
+    (P, n) or broadcasting to it, on which log s = c0 + c1 f + c2 g, and a
+    map from the coefficient rows (P, 3) to theta (P, d).  Maxent and beta
+    have one pair, their ``weights``; gengamma one per power p of a 24-point
+    log-spaced scan over its start range, with f = log x and g = -x^p.
     """
 
     display_name: str
@@ -407,11 +438,18 @@ class Family:
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
-    linear: tuple[float, float] | None = None
+    linear: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.coords is None:
             object.__setattr__(self, "coords", _param_coords(self.params))
+
+    def inside(self, theta: np.ndarray) -> np.ndarray:
+        """Whether each row of a (m, d) theta-matrix is finite and strictly
+        inside every bound."""
+        bound = [-math.inf if s.constraint == "free" else _BOUNDS[s.constraint][0]
+                 for s in self.params]
+        return (np.isfinite(theta) & (theta > np.array(bound))).all(axis=1)
 
 
 # Generation ranges emphasize each family's characteristic geometry within
@@ -444,7 +482,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
          Param("d", "gt1", 1.1, 30.0, (1.1, 30.0), True),
          Param("p", "pos", 0.3, 10.0, (0.5, 3.0), True)),
-        mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z),
+        mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z), linear=_start_gengamma,
     ),
     ModelKind.MAXENT: Family(
         "MaxEnt", "#d62728", _ls_maxent, _dls_maxent,
@@ -452,7 +490,8 @@ FAMILIES: dict[ModelKind, Family] = {
         "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))",
         (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
          Param("b", "pos", 0.05, 50.0, (0.02, 0.7), True)),
-        mode=_mode_maxent, weights=("inv_x", "inv_omx"), linear=(-1.0, 0.0),
+        mode=_mode_maxent, weights=("inv_x", "inv_omx"),
+        linear=_linear_in("inv_x", "inv_omx", -1.0, 0.0),
     ),
     ModelKind.BETA: Family(
         "Beta", "#ff7f0e", _ls_beta, _dls_beta,
@@ -460,7 +499,8 @@ FAMILIES: dict[ModelKind, Family] = {
         "under logarithmic boundary weights",
         (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),
          Param("b", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True)),
-        mode=_mode_beta, weights=("log_x", "log_omx"), linear=(1.0, 1.0),
+        mode=_mode_beta, weights=("log_x", "log_omx"),
+        linear=_linear_in("log_x", "log_omx", 1.0, 1.0),
     ),
 }
 

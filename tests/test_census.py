@@ -71,3 +71,31 @@ def test_compare_counts_changes(census, one_trial):
     assert total.split()[1] == "4"  # the differ column
     with pytest.raises(ValueError, match="different fits"):
         census.compare(a, {"fits": a["fits"][1:]})
+
+
+def test_compare_counts_fits_from_the_pool(census, one_trial):
+    a = one_trial[0]
+    starts = {r["fitter"]: r["starts"] for r in a["fits"]}
+    # at trials=1 every fit finishes; richards and skewnormal always run the
+    # pool, the families with a closed-form start run one start here
+    assert starts == {"richards": 16, "skewnormal": 16, "gengamma": 1, "maxent": 1, "beta": 1}
+    b = copy.deepcopy(a)
+    fell_back = next(r for r in b["fits"] if r["fitter"] == "gengamma")
+    fell_back["starts"] = 16
+    summary = census.compare(a, b)
+    assert summary["gengamma"]["pool"] == [0, 1] and summary["gengamma"]["differ"] == 1
+    assert summary["richards"]["pool"] == [5, 5] and summary["maxent"]["pool"] == [0, 0]
+    total = next(line for line in census.report(summary).splitlines() if line.startswith("all "))
+    assert "10 -> 11" in total
+
+
+def test_compare_reads_a_census_without_start_counts(census, one_trial):
+    a = one_trial[0]
+    old = copy.deepcopy(a)
+    for record in old["fits"]:
+        del record["starts"]
+    for summary in (census.compare(old, a), census.compare(a, old)):
+        assert sum(row["differ"] for row in summary.values()) == 0
+        assert all(None in row["pool"] for row in summary.values())
+    text = census.report(census.compare(old, a))
+    assert "? -> 5" in text and "? -> 0" in text

@@ -464,6 +464,14 @@ class TestLockstep:
         for k, dz in enumerate(trials[1:]):
             assert dz == pytest.approx(1.0 / (1.0 + fitting._LAMBDA0 * 10.0**k), rel=1e-15)
 
+    def test_rejected_step_at_the_tolerance_stops_converged(self):
+        # every step is rejected: a start whose rms is at most tol stops at
+        # its first pass, converged; one above it raises lambda to the cap
+        z, F, passes, converged = _run_stub([(1e-13, -0.1, -1.0), (2e-12, -0.1, -1.0)], max_iter=5)
+        np.testing.assert_array_equal(passes, [1, 5])
+        np.testing.assert_array_equal(converged, [True, False])
+        assert (z[:, 0] == 0.0).all() and F.tolist() == [1e-13, 2e-12]
+
     def test_relative_fall_at_most_threshold_stops_at_that_pass(self):
         z, F, passes, converged = _run_stub([(0.01, 0.99 * fitting._REL_FALL)])
         assert passes[0] == 1 and converged[0]
@@ -562,6 +570,7 @@ EXACT_SHAPES = [
     (ModelKind.BETA, (3.0, 5.0)),
     (ModelKind.BETA, (51.0, 1.05)),
 ]
+GENGAMMA_SHAPES = [(0.05, 1.5, 0.6), (0.2, 3.0, 1.3), (0.5, 8.0, 4.5), (1.0, 2.0, 2.2)]
 # beta (51, 1.05) on 22 points has only two points above 2% of the maximum
 # (the closed-form start needs three): the fallback test below uses it
 TWO_POINTS = (ModelKind.BETA, (51.0, 1.05), 22)
@@ -614,6 +623,8 @@ class TestClosedFormStart:
         # points, whose f and g are nearly collinear, is off by 8e-10
         np.testing.assert_allclose(start, theta, rtol=1e-12, atol=0)
         assert result.rms < 1e-12
+        # at its optimum to round-off, the start stops once a step is rejected
+        assert result.converged and result.iterations_used <= 2
 
     @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA], ids=lambda k: k.value)
     @pytest.mark.parametrize("name", BUNDLED_DATASETS)
@@ -629,10 +640,10 @@ class TestClosedFormStart:
         y = series.ys[use]
         X = y[:, None] * np.column_stack([np.ones_like(y), f[use], g[use]])
         c = np.linalg.lstsq(X, y * np.log(y), rcond=None)[0]
-        k, t = FAMILIES[kind].linear
-        assert (k * c[1:] > 0).all()  # inside the bounds: no clamp
+        theta = FAMILIES[kind].linear(grid)[2](c[None])
+        assert FAMILIES[kind].inside(theta)[0]
         start = FAMILIES[kind].coords[0](runs[0])[0][0]
-        np.testing.assert_allclose(start, t + k * c[1:], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(start, theta[0], rtol=1e-9, atol=0)
 
     def test_two_usable_points_fall_back(self, monkeypatch):
         kind, theta, n = TWO_POINTS
@@ -644,21 +655,44 @@ class TestClosedFormStart:
         _assert_pool_result(result, series, kind, config)
 
     def test_non_finite_solve_falls_back(self, monkeypatch):
-        solve = np.linalg.solve
-
-        def nan_solve(M, b):  # NaN for the 3x3 log-linear solves only
-            if np.shape(M) == (3, 3):
-                solved.append(M)
-                return np.full(b.shape, np.nan)
-            return solve(M, b)
-
+        log_linear = fitting._log_linear
         solved = []
-        monkeypatch.setattr(np.linalg, "solve", nan_solve)
+
+        def nan_solve(M, b):
+            solved.append(M.shape)
+            return np.full(b.shape, np.nan)
+
+        def nan_log_linear(*args):  # NaN for the log-linear solves only
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", nan_solve)
+                return log_linear(*args)
+
+        monkeypatch.setattr(fitting, "_log_linear", nan_log_linear)
         series = normalize(load_series(bundled_dataset_path("universe25")))[0]
         config = FitConfig(seed=2)
-        result, runs, _ = _fit_logging_runs(monkeypatch, series, ModelKind.MAXENT, config)
-        assert solved and [len(z) for z in runs] == [16]
-        _assert_pool_result(result, series, ModelKind.MAXENT, config)
+        for kind in (ModelKind.MAXENT, ModelKind.GENGAMMA):
+            solved.clear()
+            result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
+            assert solved and [len(z) for z in runs] == [16]
+            _assert_pool_result(result, series, kind, config)
+
+    @pytest.mark.parametrize("trial,b", [(61, -0.589), (88, -2.097)])
+    def test_start_off_the_bounds_is_not_run(self, trial, b, monkeypatch):
+        # seed-4242 benchmark maxent fits of richards series whose log-linear
+        # b is negative: a start clamped inside the bound walked to b ~ 0
+        bench_config = BenchConfig(seed=4242, fit=FitConfig(seed=4242))
+        series = _trial_series(bench_config, 0, trial)
+        kind = ModelKind.MAXENT
+        grid = EvalGrid(series.xs)
+        f, g, to_theta = FAMILIES[kind].linear(grid)
+        use = (series.ys > 0.02 * series.ys.max()) & np.isfinite(f[0]) & np.isfinite(g[0])
+        y = series.ys[use]
+        c = fitting._log_linear(np.log(y), y, f[:, use].T, g[:, use].T)
+        assert to_theta(c)[0, 1] == pytest.approx(b, abs=1e-3)
+        config = bench._fit_config(bench_config, 0, trial, KIND_ORDER.index(kind))
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
+        assert [len(z) for z in runs] == [16]
+        _assert_pool_result(result, series, kind, config)
 
     def test_unconverged_run_falls_back(self, monkeypatch):
         lockstep = fitting._lm_lockstep
@@ -695,7 +729,44 @@ class TestClosedFormStart:
         assert [len(z) for z in runs] == [1, 16] and len(calls) == 2
         _assert_pool_result(result, series, ModelKind.MAXENT, config, spent=passes[0])
 
-    @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA], ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [22, 101, 1001])
+    @pytest.mark.parametrize("theta", GENGAMMA_SHAPES, ids=str)
+    def test_noiseless_gengamma_fits_from_one_start(self, theta, n, monkeypatch):
+        kind = ModelKind.GENGAMMA
+        series = _shape_series(kind, theta, n)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=0))
+        assert [len(z) for z in runs] == [1] and len(result.start_losses) == 1
+        assert result.rms < 1e-10
+        np.testing.assert_allclose(result.model.params.values, theta, rtol=1e-8)
+
+    def test_gengamma_with_no_valid_candidate_falls_back(self, monkeypatch):
+        # two points above 2% of the maximum: no candidate has the three
+        # points its solve needs
+        ys = np.zeros(22)
+        ys[5:7] = 1.0, 0.3
+        series = SampledSeries(np.linspace(0.0, 1.0, 22), ys)
+        config = FitConfig(seed=3)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, ModelKind.GENGAMMA, config)
+        assert [len(z) for z in runs] == [16] and len(result.start_losses) == config.starts
+        _assert_pool_result(result, series, ModelKind.GENGAMMA, config)
+
+    def test_gengamma_start_scored_by_rms_matches_the_pool(self, monkeypatch):
+        # long-series seed 1 round 50: a noisy richards shape on which the
+        # candidate of least log-space residual ended 1.65x above the pool
+        theta = (90.2255307178825, 0.3749961532564603, 2.7731243120759466)
+        shape = ShapeParams(ModelKind.RICHARDS, theta)
+        clean = sample_series(CurveModel(shape, 1.0), 1001)
+        noise = np.random.default_rng(6257429007608818135).normal(0.0, 0.03, clean.ys.size)
+        series = SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
+        kind = ModelKind.GENGAMMA
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig())
+        assert [len(z) for z in runs] == [1]
+        loss, normal = fitting._projection(kind, EvalGrid(series.xs), series.ys)
+        pool = fitting._lm_lockstep(loss, normal, start_pool(kind, 16, 0), 1e-12, 200)[1]
+        assert result.rms <= 1.01 * pool.min()
+
+    @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA, ModelKind.GENGAMMA],
+                             ids=lambda k: k.value)
     @pytest.mark.parametrize("name", BUNDLED_DATASETS)
     def test_fit_does_not_depend_on_the_seed(self, name, kind):
         series = normalize(load_series(bundled_dataset_path(name)))[0]

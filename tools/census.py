@@ -8,17 +8,22 @@ generator, trial and fitter), one ``fit()`` at a time with the benchmark's
 own series and fit configs (``bench._fit_config``), and records for each:
 its rms, ``converged``, ``iterations_used`` (passes summed over the
 starts), its lockstep passes (passes of the lockstep loop, which are those
-of its longest-running start), the winning parameters and amplitude, and
-whether it raised ``FitFailureError``.  The package measured is the one on
-the import path, so one copy of this script can census two checkouts that
-both have ``bench._fit_config``; an older checkout is censused with its
-own copy.
+of its longest-running start), its start count (``len(start_losses)`` of
+the result or of the ``FitFailureError``), the winning parameters and
+amplitude, and whether it raised ``FitFailureError``.  The package
+measured is the one on the import path, so one copy of this script can
+census two checkouts that both have ``bench._fit_config``; an older
+checkout is censused with its own copy.
 
 ``compare`` prints, per fitter, the fits whose records are not
-byte-identical (0 when a change leaves every fit bit-identical), the
-change in lockstep passes, the fits more than 1% worse or better (a
-difference of at most 1e-9 in rms is round-off on near-zero self-fits and
-is ignored), the fits that switched between a result and
+byte-identical (0 when a change leaves every fit bit-identical; the start
+count is left out when a census lacks it), the change in lockstep passes,
+the fits whose result came from the start pool (more than one start:
+every richards and skewnormal fit, and a maxent, beta or gengamma fit
+whose closed-form start fell back; ``?`` for a census without start
+counts), the fits more than 1% worse or better (a difference of at most
+1e-9 in rms is round-off on near-zero self-fits and is ignored), the fits
+that switched between a result and
 ``FitFailureError``, and the winners that converged; then each fit more
 than 1% worse or better.
 """
@@ -72,10 +77,10 @@ def run(seed: int, trials: int) -> dict:
                     record = {"generator": generator.value, "trial": trial, "fitter": fitter.value}
                     try:
                         result = fit(series, fitter, _fit_config(config, g, trial, f))
-                    except FitFailureError:
+                    except FitFailureError as exc:
                         record.update(
                             rms=None, converged=False, iterations_used=None, failed=True,
-                            params=None, amplitude=None,
+                            params=None, amplitude=None, starts=len(exc.start_losses),
                         )
                     else:
                         record.update(
@@ -85,6 +90,7 @@ def run(seed: int, trials: int) -> dict:
                             failed=False,
                             params=list(result.model.params.values),
                             amplitude=result.model.amplitude,
+                            starts=len(result.start_losses),
                         )
                     record["passes"] = sum(log)
                     fits.append(record)
@@ -97,23 +103,26 @@ def _key(record: dict) -> tuple:
 
 def _row() -> dict:
     return {
-        "differ": 0, "passes": [0, 0], "worse": [], "better": [], "switched": 0,
-        "converged": [0, 0],
+        "differ": 0, "passes": [0, 0], "pool": [0, 0], "worse": [], "better": [],
+        "switched": 0, "converged": [0, 0],
     }
 
 
-def _bytes(record: dict) -> str:
+def _bytes(record: dict, starts: bool) -> str:
     # JSON writes each float as its shortest round-tripping repr, so equal
     # text is equal bits (-0.0 included, which == would not tell from 0.0)
+    if not starts:
+        record = {k: v for k, v in record.items() if k != "starts"}
     return json.dumps(record, sort_keys=True)
 
 
 def compare(a: dict, b: dict) -> dict:
     """Per-fitter summary of census b against census a, which must cover
-    the same fits: {fitter: {differ, passes, worse, better, switched,
+    the same fits: {fitter: {differ, passes, pool, worse, better, switched,
     converged}}, where differ counts the fits whose records are not
-    byte-identical, passes and converged are (a, b) pairs and worse and
-    better list (generator, trial, rms ratio b / a)."""
+    byte-identical, passes, pool (the fits run from the start pool; None
+    for a census without start counts) and converged are (a, b) pairs and
+    worse and better list (generator, trial, rms ratio b / a)."""
     before = {_key(r): r for r in a["fits"]}
     after = {_key(r): r for r in b["fits"]}
     if before.keys() != after.keys():
@@ -122,10 +131,15 @@ def compare(a: dict, b: dict) -> dict:
     for key, ra in before.items():
         rb = after[key]
         row = out[key[2]]
-        row["differ"] += _bytes(ra) != _bytes(rb)
+        starts = "starts" in ra and "starts" in rb
+        row["differ"] += _bytes(ra, starts) != _bytes(rb, starts)
         for i, r in enumerate((ra, rb)):
             row["passes"][i] += r["passes"]
             row["converged"][i] += r["converged"]
+            if "starts" not in r:
+                row["pool"][i] = None
+            elif row["pool"][i] is not None:
+                row["pool"][i] += r["starts"] > 1
         if ra["failed"] != rb["failed"]:
             row["switched"] += 1
         elif not ra["failed"] and abs(rb["rms"] - ra["rms"]) > ROUND_OFF:
@@ -143,17 +157,28 @@ def _change(pair) -> str:
     return f"{a} -> {b}{share}"
 
 
+def _count(pair) -> str:
+    return " -> ".join("?" if v is None else str(v) for v in pair)
+
+
 def report(summary: dict) -> str:
-    lines = [f"{'fitter':<11} differ {'lockstep passes':<32} worse better switched converged"]
+    lines = [
+        f"{'fitter':<11} differ {'lockstep passes':<32} {'pool':<12} worse better switched "
+        "converged"
+    ]
     total = _row()
     for name, row in list(summary.items()) + [("all", total)]:
         if name != "all":
-            for field in ("passes", "converged"):
-                total[field] = [t + v for t, v in zip(total[field], row[field])]
+            for field in ("passes", "pool", "converged"):
+                total[field] = [
+                    None if t is None or v is None else t + v
+                    for t, v in zip(total[field], row[field])
+                ]
             for field in ("differ", "worse", "better", "switched"):
                 total[field] += row[field]
         lines.append(
-            f"{name:<11} {row['differ']:>6} {_change(row['passes']):<32} {len(row['worse']):>5} "
+            f"{name:<11} {row['differ']:>6} {_change(row['passes']):<32} "
+            f"{_count(row['pool']):<12} {len(row['worse']):>5} "
             f"{len(row['better']):>6} {row['switched']:>8} "
             f"{row['converged'][0]} -> {row['converged'][1]}"
         )
