@@ -245,17 +245,21 @@ def perturbation_audit(
                 if norm[i] > floor:
                     break
         drawn = norm > floor
-        D = D[drawn] * (target / norm[drawn])[:, None]
+        if drawn.all():
+            D *= (target / norm)[:, None]
+        else:
+            D = D[drawn] * (target / norm[drawn])[:, None]
         P = p + D
         # shrink a delta that takes p + delta below 0 (the shrink is < 1);
         # skip it if it cannot shrink, where p vanishes under a delta < 0
         dips = np.flatnonzero(P.min(axis=1) < 0.0)
-        neg = D[dips] < 0.0
-        ratio = np.divide(p, -D[dips], out=np.full(neg.shape, np.inf), where=neg)
-        shrink = ratio.min(axis=1) * (1.0 - 1e-9)
-        D[dips] *= shrink[:, None]
-        P[dips] = p + D[dips]
-        P = np.maximum(np.delete(P, dips[shrink <= 0.0], axis=0), 0.0)
+        if dips.size:
+            neg = D[dips] < 0.0
+            ratio = np.divide(p, -D[dips], out=np.full(neg.shape, np.inf), where=neg)
+            shrink = ratio.min(axis=1) * (1.0 - 1e-9)
+            D[dips] *= shrink[:, None]
+            P[dips] = p + D[dips]
+            P = np.maximum(np.delete(P, dips[shrink <= 0.0], axis=0), 0.0)
         skipped += len(norm) - len(P)
         failures += int(np.count_nonzero(_entropy_integral(P, w) > h0 + _FAILURE_MARGIN))
 

@@ -13,14 +13,20 @@ steps on the projected residual, with Marquardt damping.  The loss, the
 partials and ``fit``'s report of the winning start all map z to theta by
 those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 
-Starts: maxent, beta and gengamma, whose log shapes are linear in theta on
-two columns f, g (gengamma's at each fixed power p), start from a
-closed-form scan: the weighted least-squares fit of log y on (1, f, g) for
-each candidate pair of their ``models.Family.linear`` (one for maxent and
-beta, 24 powers for gengamma), the candidate of lowest profiled rms among
-those inside the bounds running alone.  They fall back, as richards and
-skewnormal always start, to a seeded Latin hypercube over the per-family
-start ranges in ``models.FAMILIES``, mapped to theta by
+Starts: every family but skewnormal first runs one start read off the
+series by its ``models.Family.start``.  Maxent, beta and gengamma, whose
+log shapes are linear in theta on two columns f, g (gengamma's at each
+fixed power p), take a closed-form scan: the weighted least-squares fit of
+log y on (1, f, g) for each candidate pair (one for maxent and beta, 24
+powers for gengamma), the candidate of lowest profiled rms among those
+inside the bounds running alone.  Richards reads its peak and the two
+half-maximum crossings, which give t0, nu (from the ratio of the
+half-widths) and k (from the full width), and reads nothing from a
+series whose maximum is an end point, whose half maximum is not crossed
+on both sides, whose half-maximum width is 0.7 or more, or whose
+half-width ratio lies off its table.  They fall back, as skewnormal
+always starts, to a seeded Latin hypercube over the per-family start
+ranges in ``models.FAMILIES``, mapped to theta by
 ``models.Param.from_unit`` (as the benchmark's generation draws are) and
 then to z.  The pool is built in blocks of 16 (the default start count),
 so the pool for ``starts=k`` is a prefix of the pool for any larger count
@@ -62,6 +68,7 @@ from .models import (
     SampledSeries,
     ShapeParams,
     _log_peak,
+    _solve_rows,
     evaluate_on,
 )
 
@@ -106,8 +113,10 @@ class FitConfig:
     relative test); or when a step is rejected at an rms of at most
     ``simplex_tolerance``; or when its damping grows so large that no step
     of useful length lowers the loss.  ``starts`` and ``seed`` size and
-    seed the start pool, which maxent, beta and gengamma run only as the
-    fallback of their closed-form start (``fit``).
+    seed the start pool, which every family but skewnormal runs only as the
+    fallback of its closed-form start (``fit``): maxent, beta and gengamma
+    start from a log-linear solve, richards from a half-maximum reading of
+    the series.
 
     ``simplex_tolerance`` (no simplex is left) and the 2000 default keep
     their names and values because the benchmark's cross-table input digest
@@ -252,26 +261,6 @@ def _projection(kind: ModelKind, grid: EvalGrid, ys: np.ndarray):
     return batch_rms, normal_equations
 
 
-def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for a stack of small systems.
-
-    The stacked LAPACK call solves each matrix on its own, so a row's
-    solution does not depend on the others; a singular matrix makes it
-    raise for the whole stack, so the rows are then solved one at a time,
-    a singular one by least squares (the minimum-norm solution).
-    """
-    try:
-        return np.linalg.solve(M, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(b)
-        for i in range(b.shape[0]):
-            try:
-                out[i] = np.linalg.solve(M[i], b[i])
-            except np.linalg.LinAlgError:
-                out[i] = np.linalg.lstsq(M[i], b[i], rcond=None)[0]
-        return out
-
-
 # Marquardt damping: lambda starts at _LAMBDA0; after each trial step it is
 # divided by _LAMBDA_DOWN when the gain ratio (actual over predicted fall
 # of the mean square) exceeds _GAIN_HIGH and multiplied by _LAMBDA_UP when
@@ -399,45 +388,18 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
     return z_out, f_out, it_out, cv_out
 
 
-def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Coefficients (P, 3) of the least-squares fits c0 + c1 f + c2 g to
-    log y (n,) with row weights w (n,), one per column of f and g ((n, P)
-    or broadcasting to it), from the normal equations of unit-norm
-    columns, refined once (f and g of a narrow shape are nearly collinear);
-    a singular system gives its minimum-norm solution.  The sums run over
-    the points in order, whatever P, and the normal equations are built a
-    row at a time: no (n, P, 3, 3) temporary."""
-    w = w[:, None]
-    X = np.stack(np.broadcast_arrays(w, w * f, w * g), axis=2)
-    scale = np.sqrt(np.add.reduce(X * X, axis=0))
-    X /= scale
-    N = np.stack([np.add.reduce(X[:, :, i, None] * X, axis=0) for i in range(3)], axis=1)
-    b = w * log_y[:, None]
-    u = _solve_rows(N, np.add.reduce(X * b[:, :, None], axis=0))
-    r = b - np.add.reduce(X * u, axis=2)
-    u += _solve_rows(N, np.add.reduce(X * r[:, :, None], axis=0))
-    return u / scale
-
-
 def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rms):
     """The family's closed-form start (1, d) in z, or None when it has none
-    or no candidate is valid.  Each candidate of ``FAMILIES[kind].linear``
-    regresses log y on its (1, f, g) over the points where y is above 2% of
-    its maximum and every candidate's f and g are finite, weighted by y
-    (the first-order error of log y is dy / y); there must be at least 3
-    such points.  A candidate is valid with theta and z finite and strictly
-    inside the bounds (no clamp); of several, the one of lowest profiled
-    rms wins, the lowest index on ties."""
+    or no candidate is valid: the candidates of ``FAMILIES[kind].start``
+    with theta and z finite and strictly inside the bounds (no clamp); of
+    several, the one of lowest profiled rms, the lowest index on ties."""
     family = FAMILIES[kind]
-    if family.linear is None:
+    if family.start is None:
         return None
-    f, g, to_theta = family.linear(grid)
-    use = (ys > 0.02 * ys.max()) & np.isfinite(f).all(axis=0) & np.isfinite(g).all(axis=0)
-    if np.count_nonzero(use) < 3:
-        return None
-    y = ys[use]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        theta = to_theta(_log_linear(np.log(y), y, f[:, use].T, g[:, use].T))
+        theta = family.start(grid, ys)
+        if theta is None:
+            return None
         z = family.coords[1](theta)
         z = z[family.inside(theta) & np.isfinite(z).all(axis=1)]
         if len(z) > 1:
@@ -491,11 +453,11 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
     larger than 1.5 — unit peak plus headroom for additive noise; see
     ``dataio.normalize``.
 
-    Maxent, beta and gengamma return the run from their closed-form start
-    when it converges to a finite, representable optimum; else (no valid
-    candidate, an unconverged or non-finite run, or an optimum ``fit``
-    cannot represent) the pool's result, with the closed-form run's passes
-    added to ``iterations_used``.
+    Every family but skewnormal returns the run from its closed-form start
+    (``models.Family.start``) when it converges to a finite, representable
+    optimum; else (no valid candidate, an unconverged or non-finite run, or
+    an optimum ``fit`` cannot represent) the pool's result, with the
+    closed-form run's passes added to ``iterations_used``.
     """
     if len(observed) < 2:
         raise ValueError("observed series must have at least 2 points")

@@ -282,20 +282,78 @@ def _dls_gengamma(alpha, d, p, grid: EvalGrid):
     return p * e, dm1 * grid.log_x - e, (p - _GENGAMMA_P_MIN) * dz3
 
 
-# --- closed-form start candidates (``Family.linear``) ----------------------
+# --- closed-form start candidates (``Family.start``) -----------------------
 
 
-def _linear_in(f: str, g: str, k: float, t: float) -> Callable:
-    """One candidate: f and g the named ``EvalGrid`` arrays and theta =
-    t + k (c1, c2)."""
+def _solve_rows(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve M x = b for a stack of small systems.
 
-    def start(grid: EvalGrid):
-        return getattr(grid, f)[None], getattr(grid, g)[None], lambda c: t + k * c[:, 1:]
+    The stacked LAPACK call solves each matrix on its own, so a row's
+    solution does not depend on the others; a singular matrix makes it
+    raise for the whole stack, so the rows are then solved one at a time,
+    a singular one by least squares (the minimum-norm solution).
+    """
+    try:
+        return np.linalg.solve(M, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for i in range(b.shape[0]):
+            try:
+                out[i] = np.linalg.solve(M[i], b[i])
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(M[i], b[i], rcond=None)[0]
+        return out
+
+
+def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Coefficients (P, 3) of the least-squares fits c0 + c1 f + c2 g to
+    log y (n,) with row weights w (n,), one per column of f and g ((n, P)
+    or broadcasting to it), from the normal equations of unit-norm
+    columns, refined once (f and g of a narrow shape are nearly collinear);
+    a singular system gives its minimum-norm solution.  The sums run over
+    the points in order, whatever P, and the normal equations are built a
+    row at a time: no (n, P, 3, 3) temporary."""
+    w = w[:, None]
+    X = np.stack(np.broadcast_arrays(w, w * f, w * g), axis=2)
+    scale = np.sqrt(np.add.reduce(X * X, axis=0))
+    X /= scale
+    N = np.stack([np.add.reduce(X[:, :, i, None] * X, axis=0) for i in range(3)], axis=1)
+    b = w * log_y[:, None]
+    u = _solve_rows(N, np.add.reduce(X * b[:, :, None], axis=0))
+    r = b - np.add.reduce(X * u, axis=2)
+    u += _solve_rows(N, np.add.reduce(X * r[:, :, None], axis=0))
+    return u / scale
+
+
+def _log_linear_start(columns: Callable) -> Callable:
+    """The start builder of a family whose log shape is linear in theta:
+    ``columns`` maps an ``EvalGrid`` to P column pairs f, g, each (P, n) or
+    broadcasting to it, on which log s = c0 + c1 f + c2 g, and a map from
+    coefficient rows (P, 3) to theta (P, d).  Each pair regresses log y on
+    (1, f, g) over the points where y is above 2% of its maximum and every
+    pair's f and g are finite, weighted by y (the first-order error of
+    log y is dy / y); fewer than 3 such points give no candidate."""
+
+    def start(grid: EvalGrid, ys: np.ndarray):
+        f, g, to_theta = columns(grid)
+        use = (ys > 0.02 * ys.max()) & np.isfinite(f).all(axis=0) & np.isfinite(g).all(axis=0)
+        if np.count_nonzero(use) < 3:
+            return None
+        y = ys[use]
+        return to_theta(_log_linear(np.log(y), y, f[:, use].T, g[:, use].T))
 
     return start
 
 
-def _start_gengamma(grid: EvalGrid):
+def _linear_in(f: str, g: str, k: float, t: float) -> Callable:
+    """The start of a log shape linear in theta on the named ``EvalGrid``
+    arrays f and g: one candidate, theta = t + k (c1, c2)."""
+    return _log_linear_start(
+        lambda grid: (getattr(grid, f)[None], getattr(grid, g)[None], lambda c: t + k * c[:, 1:])
+    )
+
+
+def _gengamma_columns(grid: EvalGrid):
     # at a fixed power p, log s = (d - 1) log x - alpha^-p x^p; 24 powers,
     # log-spaced over the start range of p
     spec = FAMILIES[ModelKind.GENGAMMA].params[2]
@@ -306,6 +364,84 @@ def _start_gengamma(grid: EvalGrid):
         return np.stack([c[:, 2] ** (-1.0 / p), 1.0 + c[:, 1], p], axis=1)
 
     return grid.log_x[None], g, to_theta
+
+
+@lru_cache(maxsize=None)
+def _richards_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, log nu, u+ - u-) at 121 nu log-spaced over [1e-3, 1e3], R rising
+    with nu.  Against its peak, the richards log shape is h(u) = u - (1 +
+    1/nu) log((1 + nu e^u) / (1 + nu)), u = -k (x - t0); u+ > 0 > u- solve
+    h(u) = -log 2, so the half-maximum crossings lie u+ / k left and -u- / k
+    right of t0, and R = u+ / -u- is the ratio of the half-widths.  h is
+    concave with its maximum 0 at u = 0, and h <= -log 2 at u = (1 + nu)
+    log(1 + 1/nu) + nu log 2 and at u = -(1 + 1/nu) log(1 + nu) - log 2,
+    which bracket the bisection of each root."""
+    nu = np.logspace(-3.0, 3.0, 121)
+    c = 1.0 + 1.0 / nu
+    log_nu, log2 = np.log(nu), math.log(2.0)
+    above = np.zeros((2, nu.size))  # h > -log 2: the peak side of each root
+    below = np.stack([(1.0 + nu) * np.log1p(1.0 / nu) + nu * log2, -c * np.log1p(nu) - log2])
+    for _ in range(64):
+        u = 0.5 * (above + below)
+        up = u - c * (np.logaddexp(0.0, log_nu + u) - np.log1p(nu)) > -log2
+        above = np.where(up, u, above)
+        below = np.where(up, below, u)
+    u_plus, u_minus = 0.5 * (above + below)
+    table = u_plus / -u_minus, log_nu, u_plus - u_minus
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+def _half_maximum(xs: np.ndarray, ys: np.ndarray):
+    """(x_l, peak, x_r) of a series, as read in peak fitting (Guo 2011):
+    the peak is the vertex of the parabola through the sample maximum and
+    its two neighbours, and x_l < peak < x_r the crossings of half the
+    vertex height, interpolated linearly between the samples nearest the
+    peak that straddle it.  None when the maximum is an end point or the
+    series does not fall below half of it on both sides."""
+    i = int(np.argmax(ys))
+    if i == 0 or i == ys.size - 1:
+        return None
+    (x0, x1, x2), (y0, y1, y2) = xs[i - 1 : i + 2], ys[i - 1 : i + 2]
+    d1 = (y1 - y0) / (x1 - x0)
+    curve = ((y2 - y1) / (x2 - x1) - d1) / (x2 - x0)
+    peak, top = x1, y1
+    if curve < 0.0:
+        peak = 0.5 * (x0 + x1 - d1 / curve)
+        top = y0 + (peak - x0) * (d1 + curve * (peak - x1))
+    half = 0.5 * top
+    left = np.flatnonzero(ys[:i] < half)
+    right = np.flatnonzero(ys[i + 1 :] < half)
+    if not (left.size and right.size):
+        return None
+    j, m = left[-1], i + 1 + right[0]
+    x_l = xs[j] + (xs[j + 1] - xs[j]) * (half - ys[j]) / (ys[j + 1] - ys[j])
+    x_r = xs[m - 1] + (xs[m] - xs[m - 1]) * (ys[m - 1] - half) / (ys[m - 1] - ys[m])
+    return x_l, peak, x_r
+
+
+#: Widest half-maximum width from which richards starts by its reading.
+_RICHARDS_MAX_WIDTH = 0.7
+
+
+def _start_richards(grid: EvalGrid, ys: np.ndarray):
+    """Richards' start from the ``_half_maximum`` reading (x_l, t0, x_r) of
+    the series: nu inverts R = (t0 - x_l) / (x_r - t0) through
+    ``_richards_table`` and k = (u+ - u-)(nu) / W, W = x_r - x_l.  No
+    candidate when there is no reading, W >= 0.7 (near-box series, whose
+    best richards fit lies in another basin) or R is off the table (nu
+    would be clamped)."""
+    read = _half_maximum(grid.xs, ys)
+    if read is None:
+        return None
+    x_l, t0, x_r = read
+    ratio_table, log_nu, span = _richards_table()
+    width, ratio = x_r - x_l, (t0 - x_l) / (x_r - t0)
+    if not (width < _RICHARDS_MAX_WIDTH and ratio_table[0] <= ratio <= ratio_table[-1]):
+        return None
+    nu = math.exp(np.interp(ratio, ratio_table, log_nu))
+    return np.array([[np.interp(ratio, ratio_table, span) / width, t0, nu]])
 
 
 # --- z <-> theta maps -----------------------------------------------------
@@ -421,12 +557,14 @@ class Family:
     peak location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
     audit's constraint integrals (None: the family is not audited).
-    ``linear`` builds the fitter's closed-form start candidates (None: the
-    family has none): it maps an ``EvalGrid`` to P column pairs f, g, each
-    (P, n) or broadcasting to it, on which log s = c0 + c1 f + c2 g, and a
-    map from the coefficient rows (P, 3) to theta (P, d).  Maxent and beta
-    have one pair, their ``weights``; gengamma one per power p of a 24-point
-    log-spaced scan over its start range, with f = log x and g = -x^p.
+    ``start`` builds the fitter's closed-form start candidates (None: the
+    family has none): it maps an ``EvalGrid`` and the series' values to a
+    (P, d) theta-matrix, or to None when it reads no candidate (the fit
+    then runs its start pool).  Maxent, beta and gengamma regress log y on
+    column pairs in which their log shape is linear (``_log_linear_start``):
+    maxent and beta on their ``weights``, gengamma on log x and -x^p at each
+    power p of a 24-point log-spaced scan over its start range.  Richards
+    reads its peak and half-maximum crossings (``_start_richards``).
     """
 
     display_name: str
@@ -438,7 +576,7 @@ class Family:
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
-    linear: Callable | None = None
+    start: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.coords is None:
@@ -466,6 +604,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("k", "pos", 2.0, 100.0, (2.0, 100.0), True),
          Param("t0", "free", 0.0, 1.0, (0.0, 1.0), False),
          Param("nu", "pos", 0.1, 10.0, (0.1, 10.0), True)),
+        start=_start_richards,
     ),
     ModelKind.SKEWNORMAL: Family(
         "Skewnormal", "#9467bd", _ls_skewnormal, _dls_skewnormal,
@@ -482,7 +621,8 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
          Param("d", "gt1", 1.1, 30.0, (1.1, 30.0), True),
          Param("p", "pos", 0.3, 10.0, (0.5, 3.0), True)),
-        mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z), linear=_start_gengamma,
+        mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z),
+        start=_log_linear_start(_gengamma_columns),
     ),
     ModelKind.MAXENT: Family(
         "MaxEnt", "#d62728", _ls_maxent, _dls_maxent,
@@ -491,7 +631,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
          Param("b", "pos", 0.05, 50.0, (0.02, 0.7), True)),
         mode=_mode_maxent, weights=("inv_x", "inv_omx"),
-        linear=_linear_in("inv_x", "inv_omx", -1.0, 0.0),
+        start=_linear_in("inv_x", "inv_omx", -1.0, 0.0),
     ),
     ModelKind.BETA: Family(
         "Beta", "#ff7f0e", _ls_beta, _dls_beta,
@@ -500,7 +640,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),
          Param("b", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True)),
         mode=_mode_beta, weights=("log_x", "log_omx"),
-        linear=_linear_in("log_x", "log_omx", 1.0, 1.0),
+        start=_linear_in("log_x", "log_omx", 1.0, 1.0),
     ),
 }
 
@@ -557,7 +697,12 @@ def _argmax_numeric(params: ShapeParams, n_grid: int = 4097, tol: float = 1e-10)
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = _scalar_log_shape(params, d)
-    return float(min(1.0, max(0.0, 0.5 * (lo + hi))))
+    mid = min(1.0, max(0.0, 0.5 * (lo + hi)))
+    # next to a cliff (skewnormal on its half-normal ridge, |alpha| ~ 1e20
+    # or more) the midpoint can land where the shape underflows to 0
+    if _scalar_log_shape(params, mid) == -math.inf:
+        return float(c if fc > fd else d)  # both lie in [lo, hi]
+    return float(mid)
 
 
 @lru_cache(maxsize=4096)

@@ -4,11 +4,14 @@ import copy
 import importlib.util
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unifit import KIND_ORDER, BenchConfig, FitConfig, cross_compare
+from unifit.bench import _trial_series
 
 CENSUS = Path(__file__).resolve().parents[1] / "tools" / "census.py"
 
@@ -75,18 +78,24 @@ def test_compare_counts_changes(census, one_trial):
 
 def test_compare_counts_fits_from_the_pool(census, one_trial):
     a = one_trial[0]
-    starts = {r["fitter"]: r["starts"] for r in a["fits"]}
-    # at trials=1 every fit finishes; richards and skewnormal always run the
-    # pool, the families with a closed-form start run one start here
-    assert starts == {"richards": 16, "skewnormal": 16, "gengamma": 1, "maxent": 1, "beta": 1}
+    starts = {}
+    for r in a["fits"]:
+        starts.setdefault(r["fitter"], []).append(r["starts"])
+    # at trials=1 every fit finishes; skewnormal always runs the pool, the
+    # log-linear starts of gengamma, maxent and beta hold here, and richards
+    # reads a start from some series and falls back on others
+    assert starts["skewnormal"] == [16] * 5
+    assert starts["gengamma"] == starts["maxent"] == starts["beta"] == [1] * 5
+    assert sorted(set(starts["richards"])) == [1, 16]
+    pooled = starts["richards"].count(16)
     b = copy.deepcopy(a)
     fell_back = next(r for r in b["fits"] if r["fitter"] == "gengamma")
     fell_back["starts"] = 16
     summary = census.compare(a, b)
     assert summary["gengamma"]["pool"] == [0, 1] and summary["gengamma"]["differ"] == 1
-    assert summary["richards"]["pool"] == [5, 5] and summary["maxent"]["pool"] == [0, 0]
+    assert summary["richards"]["pool"] == [pooled, pooled] and summary["maxent"]["pool"] == [0, 0]
     total = next(line for line in census.report(summary).splitlines() if line.startswith("all "))
-    assert "10 -> 11" in total
+    assert f"{5 + pooled} -> {6 + pooled}" in total
 
 
 def test_compare_reads_a_census_without_start_counts(census, one_trial):
@@ -99,3 +108,63 @@ def test_compare_reads_a_census_without_start_counts(census, one_trial):
         assert all(None in row["pool"] for row in summary.values())
     text = census.report(census.compare(old, a))
     assert "? -> 5" in text and "? -> 0" in text
+
+
+FORMS = ["thin8", "thin12", "thin20", "noise0.05", "noise0.1", "cut0.5", "cut0.7"]
+
+
+def test_panel_forms(census):
+    config = BenchConfig(trials_per_cell=1, seed=2, fit=FitConfig(seed=2))
+    series = _trial_series(config, 3, 0)
+    forms = census.panel_forms(config, 3, 0)
+    assert [name for name, _ in forms] == FORMS
+    by_name = dict(forms)
+    for m in (8, 12, 20):
+        thin = by_name[f"thin{m}"]
+        assert len(thin) == m and thin.xs[0] == 0.0 and thin.xs[-1] == 1.0
+        assert set(thin.ys) <= set(series.ys)
+    for sigma in (0.05, 0.1):
+        noisy = _trial_series(replace(config, noise_sigma=sigma), 3, 0)
+        assert np.array_equal(by_name[f"noise{sigma:g}"].ys, noisy.ys)
+        assert by_name[f"noise{sigma:g}"].ys.min() == 0.0
+    for end in (0.5, 0.7):
+        cut = by_name[f"cut{end:g}"]
+        kept = series.ys[series.xs <= end]
+        assert len(cut) == kept.size and cut.ys.max() == 1.0
+        assert cut.xs[0] == 0.02 and cut.xs[-1] == pytest.approx(0.98, abs=1e-15)
+        np.testing.assert_array_equal(cut.ys, kept / kept.max())
+
+
+@pytest.fixture(scope="module")
+def one_panel(census, tmp_path_factory):
+    path = tmp_path_factory.mktemp("panel") / "panel.json"
+    assert census.main(["run", "--panel", "--seed", "1", "--trials", "1", "--out", str(path)]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_panel_compare_counts_per_form(census, one_panel):
+    a = one_panel
+    assert a["seeds"] == [1] and len(a["fits"]) == 5 * len(FORMS) * 5
+    summary = census.compare(a, a)
+    assert all(row["forms"] == {form: [0, 0, 0] for form in FORMS} for row in summary.values())
+    b = copy.deepcopy(a)
+    worse = next(r for r in b["fits"] if r["form"] == "cut0.7" and (r["rms"] or 0.0) > 1e-3)
+    worse["rms"] *= 2.0
+    failed = next(r for r in b["fits"] if r["form"] == "thin8" and r["fitter"] != worse["fitter"])
+    failed.update(rms=None, failed=True)
+    summary = census.compare(a, b)
+    assert summary[worse["fitter"]]["forms"]["cut0.7"] == [1, 0, 0]
+    assert summary[failed["fitter"]]["forms"]["thin8"] == [0, 0, 1]
+    assert summary[worse["fitter"]]["worse"] == [
+        (1, "cut0.7", worse["generator"], worse["trial"], pytest.approx(2.0))
+    ]
+    text = census.report(summary)
+    assert f"worse: {worse['fitter']} on {worse['generator']} trial 0 (seed 1, cut0.7)" in text
+    row = next(line for line in text.splitlines() if line.startswith("thin8 "))
+    column = list(summary).index(failed["fitter"])
+    assert row.split()[1 + column] == "0/0/1"
+
+
+def test_run_needs_a_seed_without_the_panel(census, tmp_path):
+    with pytest.raises(SystemExit):
+        census.main(["run", "--trials", "1", "--out", str(tmp_path / "x.json")])

@@ -19,14 +19,17 @@ from unifit import (
     SampledSeries,
     ShapeParams,
     bundled_dataset_path,
+    evaluate,
     fit,
     load_series,
+    mode,
     normalize,
     rms_loss,
     sample_series,
 )
 import unifit.bench as bench
 import unifit.fitting as fitting
+import unifit.models as models
 from unifit.bench import BenchConfig, _trial_series
 from unifit.fitting import start_pool
 from unifit.models import _GENGAMMA_P_MIN, FAMILIES, EvalGrid
@@ -212,6 +215,19 @@ class TestFit:
         assert err.value.kind is ModelKind.MAXENT
         assert len(err.value.start_losses) == 16
         assert all(math.isinf(v) for v in err.value.start_losses)
+
+
+    @pytest.mark.parametrize("seed", [731310701, 18324004])
+    def test_fit_on_the_half_normal_ridge_keeps_its_peak(self, seed):
+        # the winning skewnormal start ends on the half-normal ridge (alpha
+        # -1.5e80 and -2.0e22), where the midpoint of the mode's final
+        # golden-section bracket lands just past xi, in the shape's
+        # underflow to 0: the fit raised "degenerate profiled amplitude"
+        series = normalize(load_series(bundled_dataset_path("st_matthew")))[0]
+        result = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed))
+        model = result.model
+        assert model.params.values[2] < -1e20 and result.rms < 0.08
+        assert evaluate(model, mode(model.params)) == model.amplitude
 
 
 class TestSelfFitRecovery:
@@ -401,11 +417,12 @@ class TestLockstep:
         # the winning start's z under the loss's own z -> theta map; a
         # scalar copy of the map (math.exp) is one ulp off on these fits
         series = normalize(load_series(bundled_dataset_path(name)))[0]
-        loss, normal, Z0 = _lockstep_inputs(kind, series, seed)
-        if FAMILIES[kind].linear is not None:  # the start the fit ran: its closed-form one
-            Z0 = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=seed))[1][0]
-            monkeypatch.undo()
-            assert Z0.shape[0] == 1
+        loss, normal, _ = _lockstep_inputs(kind, series, seed)
+        # the starts of the run whose result the fit returned: its last
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=seed))
+        monkeypatch.undo()
+        Z0 = runs[-1]
+        assert Z0.shape[0] == len(result.start_losses)
         z, F, _, _ = fitting._lm_lockstep(loss, normal, Z0, 1e-12, 200)
         scored = FAMILIES[kind].coords[0](z[np.argmin(F)][None])[0][0]
         assert tuple(map(float, scored)) == fit(series, kind, FitConfig(seed=seed)).model.params.values
@@ -571,6 +588,9 @@ EXACT_SHAPES = [
     (ModelKind.BETA, (51.0, 1.05)),
 ]
 GENGAMMA_SHAPES = [(0.05, 1.5, 0.6), (0.2, 3.0, 1.3), (0.5, 8.0, 4.5), (1.0, 2.0, 2.2)]
+# richards shapes whose peak spans several points of the 22-point grid, so
+# that its half-maximum reading is within 1% of theta there too
+RICHARDS_SHAPES = [(10.0, 0.45, 1.0), (5.0, 0.55, 0.5), (4.0, 0.5, 0.3)]
 # beta (51, 1.05) on 22 points has only two points above 2% of the maximum
 # (the closed-form start needs three): the fallback test below uses it
 TWO_POINTS = (ModelKind.BETA, (51.0, 1.05), 22)
@@ -578,6 +598,15 @@ TWO_POINTS = (ModelKind.BETA, (51.0, 1.05), 22)
 
 def _shape_series(kind, theta, n):
     return sample_series(CurveModel(ShapeParams(kind, theta), 1.0), n)
+
+
+def _long_series_round_52():
+    """perfbench's long-series seed 1 round 52: a noisy gengamma shape."""
+    clean = _shape_series(
+        ModelKind.GENGAMMA, (0.3287807953114529, 1.4415864327456753, 2.886791514872707), 1001
+    )
+    noise = np.random.default_rng(4608141326015880419).normal(0.0, 0.03, clean.ys.size)
+    return SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
 
 
 def _fit_logging_runs(monkeypatch, series, kind, config, lockstep=fitting._lm_lockstep):
@@ -640,7 +669,8 @@ class TestClosedFormStart:
         y = series.ys[use]
         X = y[:, None] * np.column_stack([np.ones_like(y), f[use], g[use]])
         c = np.linalg.lstsq(X, y * np.log(y), rcond=None)[0]
-        theta = FAMILIES[kind].linear(grid)[2](c[None])
+        # log s = -a/x - b/(1-x) for maxent, (a-1) log x + (b-1) log(1-x) for beta
+        theta = (1.0 + c[1:] if kind is ModelKind.BETA else -c[1:])[None]
         assert FAMILIES[kind].inside(theta)[0]
         start = FAMILIES[kind].coords[0](runs[0])[0][0]
         np.testing.assert_allclose(start, theta[0], rtol=1e-9, atol=0)
@@ -655,7 +685,7 @@ class TestClosedFormStart:
         _assert_pool_result(result, series, kind, config)
 
     def test_non_finite_solve_falls_back(self, monkeypatch):
-        log_linear = fitting._log_linear
+        log_linear = models._log_linear
         solved = []
 
         def nan_solve(M, b):
@@ -667,7 +697,7 @@ class TestClosedFormStart:
                 m.setattr(np.linalg, "solve", nan_solve)
                 return log_linear(*args)
 
-        monkeypatch.setattr(fitting, "_log_linear", nan_log_linear)
+        monkeypatch.setattr(models, "_log_linear", nan_log_linear)
         series = normalize(load_series(bundled_dataset_path("universe25")))[0]
         config = FitConfig(seed=2)
         for kind in (ModelKind.MAXENT, ModelKind.GENGAMMA):
@@ -683,12 +713,8 @@ class TestClosedFormStart:
         bench_config = BenchConfig(seed=4242, fit=FitConfig(seed=4242))
         series = _trial_series(bench_config, 0, trial)
         kind = ModelKind.MAXENT
-        grid = EvalGrid(series.xs)
-        f, g, to_theta = FAMILIES[kind].linear(grid)
-        use = (series.ys > 0.02 * series.ys.max()) & np.isfinite(f[0]) & np.isfinite(g[0])
-        y = series.ys[use]
-        c = fitting._log_linear(np.log(y), y, f[:, use].T, g[:, use].T)
-        assert to_theta(c)[0, 1] == pytest.approx(b, abs=1e-3)
+        theta = FAMILIES[kind].start(EvalGrid(series.xs), series.ys)
+        assert theta[0, 1] == pytest.approx(b, abs=1e-3)
         config = bench._fit_config(bench_config, 0, trial, KIND_ORDER.index(kind))
         result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
         assert [len(z) for z in runs] == [16]
@@ -765,14 +791,84 @@ class TestClosedFormStart:
         pool = fitting._lm_lockstep(loss, normal, start_pool(kind, 16, 0), 1e-12, 200)[1]
         assert result.rms <= 1.01 * pool.min()
 
-    @pytest.mark.parametrize("kind", [ModelKind.MAXENT, ModelKind.BETA, ModelKind.GENGAMMA],
-                             ids=lambda k: k.value)
-    @pytest.mark.parametrize("name", BUNDLED_DATASETS)
+    @pytest.mark.parametrize(
+        "kind,name",
+        [(k, name) for k in (ModelKind.MAXENT, ModelKind.BETA, ModelKind.GENGAMMA)
+         for name in BUNDLED_DATASETS]
+        # Universe 25's richards reading has no second half-maximum crossing
+        + [(ModelKind.RICHARDS, "st_matthew")],
+        ids=lambda v: getattr(v, "value", v),
+    )
     def test_fit_does_not_depend_on_the_seed(self, name, kind):
         series = normalize(load_series(bundled_dataset_path(name)))[0]
         fits = [fit(series, kind, FitConfig(seed=seed)) for seed in range(6)]
         assert len(fits[0].start_losses) == 1
         assert all(f == fits[0] for f in fits)
+
+    @pytest.mark.parametrize("n", [22, 101, 1001])
+    @pytest.mark.parametrize("theta", RICHARDS_SHAPES, ids=str)
+    def test_noiseless_richards_fits_from_one_start(self, theta, n, monkeypatch):
+        kind = ModelKind.RICHARDS
+        series = _shape_series(kind, theta, n)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=0))
+        assert [len(z) for z in runs] == [1] and len(result.start_losses) == 1
+        start = FAMILIES[kind].coords[0](runs[0])[0][0]
+        np.testing.assert_allclose(start, theta, rtol=0.01)
+        assert result.rms < 1e-10
+        np.testing.assert_allclose(result.model.params.values, theta, rtol=1e-8)
+
+    def test_richards_table_solves_the_half_maximum(self):
+        ratio, log_nu, span = models._richards_table()
+        assert ratio.size == 121 and (np.diff(ratio) > 0.0).all()
+        np.testing.assert_allclose(np.exp(log_nu[[0, 60, -1]]), [1e-3, 1.0, 1e3])
+        # the logistic (nu = 1) is symmetric: u+ = -u- = log(3 + 2 sqrt 2)
+        assert ratio[60] == pytest.approx(1.0, rel=1e-12)
+        assert span[60] == pytest.approx(2.0 * math.log(3.0 + 2.0 * math.sqrt(2.0)), rel=1e-12)
+        # each crossing of the tabled shape is at half its peak
+        for i in (0, 30, 90, 120):
+            nu = math.exp(log_nu[i])
+            u_plus = span[i] * ratio[i] / (1.0 + ratio[i])
+            k = 2.0 * span[i]  # a half-maximum width of 0.5
+            theta = (k, 0.5, nu)
+            grid = EvalGrid(np.array([0.5, 0.5 - u_plus / k, 0.5 + (span[i] - u_plus) / k]))
+            peak, left, right = FAMILIES[ModelKind.RICHARDS].kernel(*theta, grid)
+            np.testing.assert_allclose([left - peak, right - peak], [-math.log(2.0)] * 2, rtol=1e-9)
+
+    @pytest.mark.parametrize(
+        "case", ["near-box width", "ratio off the table", "maximum at an end point"]
+    )
+    def test_richards_without_a_reading_runs_the_pool(self, case, monkeypatch):
+        kind = ModelKind.RICHARDS
+        if case == "near-box width":
+            series = _shape_series(ModelKind.BETA, (1.2, 1.2), 101)
+        elif case == "ratio off the table":
+            series = _long_series_round_52()
+        else:
+            series = _shape_series(kind, (10.0, 1.2, 1.0), 101)
+        read = models._half_maximum(series.xs, series.ys)
+        ratio = models._richards_table()[0]
+        if case == "maximum at an end point":
+            assert read is None
+        else:
+            x_l, t0, x_r = read
+            off = not ratio[0] <= (t0 - x_l) / (x_r - t0) <= ratio[-1]
+            assert (x_r - x_l >= 0.7, off) == (
+                (True, False) if case == "near-box width" else (False, True)
+            )
+        assert FAMILIES[kind].start(EvalGrid(series.xs), series.ys) is None
+        config = FitConfig(seed=5)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
+        assert [len(z) for z in runs] == [16] and len(result.start_losses) == 16
+        _assert_pool_result(result, series, kind, config)
+
+    def test_richards_on_long_series_round_52_matches_the_pool(self):
+        # its half-width ratio 0.54 is off the table; clamped to nu = 1e-3,
+        # the start ended in the Gompertz basin at rms 0.0523 against 0.0428
+        series = _long_series_round_52()
+        kind = ModelKind.RICHARDS
+        loss, normal = fitting._projection(kind, EvalGrid(series.xs), series.ys)
+        pool = fitting._lm_lockstep(loss, normal, start_pool(kind, 16, 0), 1e-12, 200)[1]
+        assert fit(series, kind, FitConfig()).rms <= 1.01 * pool.min()
 
 
 class TestStartPool:
