@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         "file per family with the family name appended to the stem)",
     )
     p_fit.add_argument("--plot", default=None, help="write an SVG chart here")
-    p_fit.add_argument("--starts", type=int, default=16, help="optimizer start count (all but "
-                       "skewnormal: of the pool that backs up their closed-form start, a "
-                       "log-linear solve or, for richards, a half-maximum reading)")
+    p_fit.add_argument("--starts", type=int, default=16, help="optimizer start count of the "
+                       "pool that backs up each family's closed-form start (a log-linear "
+                       "solve or, for richards and skewnormal, a half-maximum reading)")
     p_fit.add_argument("--seed", type=int, default=0, help="random seed")
     p_fit.add_argument(
         "--padding",

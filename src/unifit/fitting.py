@@ -13,22 +13,26 @@ steps on the projected residual, with Marquardt damping.  The loss, the
 partials and ``fit``'s report of the winning start all map z to theta by
 those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 
-Starts: every family but skewnormal first runs one start read off the
-series by its ``models.Family.start``.  Maxent, beta and gengamma, whose
-log shapes are linear in theta on two columns f, g (gengamma's at each
-fixed power p), take a closed-form scan: the weighted least-squares fit of
-log y on (1, f, g) for each candidate pair (one for maxent and beta, 24
-powers for gengamma), the candidate of lowest profiled rms among those
-inside the bounds running alone.  Richards reads its peak and the two
-half-maximum crossings, which give t0, nu (from the ratio of the
-half-widths) and k (from the full width), and reads nothing from a
-series whose maximum is an end point, whose half maximum is not crossed
-on both sides, whose half-maximum width is 0.7 or more, or whose
-half-width ratio lies off its table.  They fall back, as skewnormal
-always starts, to a seeded Latin hypercube over the per-family start
-ranges in ``models.FAMILIES``, mapped to theta by
-``models.Param.from_unit`` (as the benchmark's generation draws are) and
-then to z.  The pool is built in blocks of 16 (the default start count),
+Starts: every family first runs one start read off the series by its
+``models.Family.start``.  Maxent, beta and gengamma, whose log shapes are
+linear in theta on two columns f, g (gengamma's at each fixed power p),
+take a closed-form scan: the weighted least-squares fit of log y on (1,
+f, g) for each candidate pair (one for maxent and beta, 24 powers for
+gengamma), the candidate of lowest profiled rms among those inside the
+bounds running alone.  Richards and skewnormal read the peak and the two
+half-maximum crossings, which give the location, the shape (nu or alpha,
+from the ratio of the half-widths) and the scale (k or omega, from the
+full width), and read nothing from a series whose maximum is an end
+point, whose half maximum is not crossed on both sides or whose
+half-width ratio lies off the family's table; richards also not when the
+half-maximum width is 0.7 or more, skewnormal when it is 0.6 or more or
+fewer than 3 samples lie between the crossings.  Skewnormal trusts its
+one-start run only away from alpha = 0 (``models.Family.trusted``), where
+its Jacobian is singular: a start read at |alpha| < 0.3 is not run, and a
+run that ends there falls back.  The fallback is a seeded Latin hypercube
+over the per-family start ranges in ``models.FAMILIES``, mapped to theta
+by ``models.Param.from_unit`` (as the benchmark's generation draws are)
+and then to z.  The pool is built in blocks of 16 (the default start count),
 so the pool for ``starts=k`` is a prefix of the pool for any larger count
 with the same seed.  All starts advance in lockstep: each pass scores the
 trial steps of all active starts in one batched loss call, which also
@@ -113,10 +117,10 @@ class FitConfig:
     relative test); or when a step is rejected at an rms of at most
     ``simplex_tolerance``; or when its damping grows so large that no step
     of useful length lowers the loss.  ``starts`` and ``seed`` size and
-    seed the start pool, which every family but skewnormal runs only as the
-    fallback of its closed-form start (``fit``): maxent, beta and gengamma
-    start from a log-linear solve, richards from a half-maximum reading of
-    the series.
+    seed the start pool, which every family runs only as the fallback of
+    its closed-form start (``fit``): maxent, beta and gengamma start from a
+    log-linear solve, richards and skewnormal from a half-maximum reading
+    of the series.
 
     ``simplex_tolerance`` (no simplex is left) and the 2000 default keep
     their names and values because the benchmark's cross-table input digest
@@ -391,8 +395,9 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
 def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rms):
     """The family's closed-form start (1, d) in z, or None when it has none
     or no candidate is valid: the candidates of ``FAMILIES[kind].start``
-    with theta and z finite and strictly inside the bounds (no clamp); of
-    several, the one of lowest profiled rms, the lowest index on ties."""
+    with theta and z finite and strictly inside the bounds (no clamp) and
+    theta that the family's ``trusted`` accepts; of several, the one of
+    lowest profiled rms, the lowest index on ties."""
     family = FAMILIES[kind]
     if family.start is None:
         return None
@@ -401,7 +406,7 @@ def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rm
         if theta is None:
             return None
         z = family.coords[1](theta)
-        z = z[family.inside(theta) & np.isfinite(z).all(axis=1)]
+        z = z[family.inside(theta) & family.trusted(theta) & np.isfinite(z).all(axis=1)]
         if len(z) > 1:
             z = z[np.argmin(batch_rms(z)[0])][None]
     return z if len(z) else None
@@ -453,11 +458,12 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
     larger than 1.5 — unit peak plus headroom for additive noise; see
     ``dataio.normalize``.
 
-    Every family but skewnormal returns the run from its closed-form start
+    Every family returns the run from its closed-form start
     (``models.Family.start``) when it converges to a finite, representable
-    optimum; else (no valid candidate, an unconverged or non-finite run, or
-    an optimum ``fit`` cannot represent) the pool's result, with the
-    closed-form run's passes added to ``iterations_used``.
+    optimum that the family's ``trusted`` accepts; else (no valid
+    candidate, an unconverged or non-finite run, an optimum ``fit`` cannot
+    represent, or a skewnormal optimum near alpha = 0) the pool's result,
+    with the closed-form run's passes added to ``iterations_used``.
     """
     if len(observed) < 2:
         raise ValueError("observed series must have at least 2 points")
@@ -481,8 +487,11 @@ def fit(observed: SampledSeries, kind: ModelKind, config: FitConfig = FitConfig(
         spent = int(one[2][0])
         if one[3][0] and math.isfinite(one[1][0]):
             try:
-                return _result(kind, batch_rms, *one)
+                result = _result(kind, batch_rms, *one)
             except FitFailureError:
                 pass  # theta off the bounds or a degenerate amplitude
+            else:
+                if FAMILIES[kind].trusted(np.array([result.model.params.values]))[0]:
+                    return result
     pool = start_pool(kind, config.starts, config.seed)
     return _result(kind, batch_rms, *_lm_lockstep(batch_rms, normal, pool, tol, cap), spent)

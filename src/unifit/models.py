@@ -366,6 +366,17 @@ def _gengamma_columns(grid: EvalGrid):
     return grid.log_x[None], g, to_theta
 
 
+def _bisect(above: np.ndarray, below: np.ndarray, up: Callable) -> np.ndarray:
+    """64 bisection steps on each entry of the brackets above, below, up(u)
+    telling which entries of u lie on the side of above."""
+    for _ in range(64):
+        u = 0.5 * (above + below)
+        hit = up(u)
+        above = np.where(hit, u, above)
+        below = np.where(hit, below, u)
+    return 0.5 * (above + below)
+
+
 @lru_cache(maxsize=None)
 def _richards_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, log nu, u+ - u-) at 121 nu log-spaced over [1e-3, 1e3], R rising
@@ -379,14 +390,12 @@ def _richards_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nu = np.logspace(-3.0, 3.0, 121)
     c = 1.0 + 1.0 / nu
     log_nu, log2 = np.log(nu), math.log(2.0)
-    above = np.zeros((2, nu.size))  # h > -log 2: the peak side of each root
     below = np.stack([(1.0 + nu) * np.log1p(1.0 / nu) + nu * log2, -c * np.log1p(nu) - log2])
-    for _ in range(64):
-        u = 0.5 * (above + below)
-        up = u - c * (np.logaddexp(0.0, log_nu + u) - np.log1p(nu)) > -log2
-        above = np.where(up, u, above)
-        below = np.where(up, below, u)
-    u_plus, u_minus = 0.5 * (above + below)
+    # h > -log 2 on the peak side of each root
+    u_plus, u_minus = _bisect(
+        np.zeros((2, nu.size)), below,
+        lambda u: u - c * (np.logaddexp(0.0, log_nu + u) - np.log1p(nu)) > -log2,
+    )
     table = u_plus / -u_minus, log_nu, u_plus - u_minus
     for column in table:
         column.setflags(write=False)
@@ -442,6 +451,76 @@ def _start_richards(grid: EvalGrid, ys: np.ndarray):
         return None
     nu = math.exp(np.interp(ratio, ratio_table, log_nu))
     return np.array([[np.interp(ratio, ratio_table, span) / width, t0, nu]])
+
+
+@lru_cache(maxsize=None)
+def _skewnormal_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(R, alpha, m, W) at 161 alpha evenly spaced over [-20, 20], R
+    rising (alpha falling).  For the unit shape (xi = 0, omega = 1) the log
+    shape is -z^2 / 2 + log Phi(alpha z), whose slope alpha phi(alpha z) /
+    Phi(alpha z) - z falls from above 0 at z = -1 to below 0 at z = 1: its
+    root is the mode m.  Against its peak the log shape is concave with
+    curvature at least 1, so it falls below -log 2 within sqrt(2 log 2) <
+    1.2 of m on each side, which brackets the half-maximum crossings z_l <
+    m < z_r; R = (m - z_l) / (z_r - m) is the ratio of the half-widths and
+    W = z_r - z_l the full width."""
+    alpha = np.linspace(-20.0, 20.0, 161)
+
+    def log_shape(z):
+        return _ls_skewnormal(0.0, 1.0, alpha, EvalGrid(z))
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m = _bisect(
+            np.full_like(alpha, -1.0), np.ones_like(alpha),
+            lambda z: alpha * _SQRT_2_OVER_PI / erfcx(-alpha * z * _SQRT1_2) > z,
+        )
+        half = log_shape(m) - math.log(2.0)
+        z_l = _bisect(m, m - 1.2, lambda z: log_shape(z) > half)
+        z_r = _bisect(m, m + 1.2, lambda z: log_shape(z) > half)
+    order = np.argsort((m - z_l) / (z_r - m))
+    table = tuple(column[order] for column in ((m - z_l) / (z_r - m), alpha, m, z_r - z_l))
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
+#: Widest half-maximum width from which skewnormal starts by its reading.
+_SKEWNORMAL_MAX_WIDTH = 0.6
+#: Least |alpha| at which a skewnormal one-start run is trusted.
+_SKEWNORMAL_MIN_ALPHA = 0.3
+
+
+def _start_skewnormal(grid: EvalGrid, ys: np.ndarray):
+    """Skewnormal's start from the ``_half_maximum`` reading (x_l, peak,
+    x_r) of the series: alpha inverts R = (peak - x_l) / (x_r - peak)
+    through ``_skewnormal_table``, omega = (x_r - x_l) / W(alpha) and xi =
+    peak - omega m(alpha).  No candidate when there is no reading, the
+    width x_r - x_l is 0.6 or more (near-box series, whose best skewnormal
+    fit lies in another basin), fewer than 3 samples lie strictly between
+    the crossings (too few to read the shape) or R is off the table."""
+    read = _half_maximum(grid.xs, ys)
+    if read is None:
+        return None
+    x_l, peak, x_r = read
+    ratio_table, alpha, m, span = _skewnormal_table()
+    width, ratio = x_r - x_l, (peak - x_l) / (x_r - peak)
+    inside = np.count_nonzero((grid.xs > x_l) & (grid.xs < x_r))
+    if not (width < _SKEWNORMAL_MAX_WIDTH and inside >= 3
+            and ratio_table[0] <= ratio <= ratio_table[-1]):
+        return None
+    omega = width / np.interp(ratio, ratio_table, span)
+    return np.array([[peak - omega * np.interp(ratio, ratio_table, m), omega,
+                      np.interp(ratio, ratio_table, alpha)]])
+
+
+def _everywhere(theta: np.ndarray) -> np.ndarray:
+    return np.ones(len(theta), dtype=bool)
+
+
+def _skewnormal_trusted(theta: np.ndarray) -> np.ndarray:
+    # at alpha = 0 the xi and alpha columns of the Jacobian are collinear:
+    # a run that starts or ends near it may stop at a singular point
+    return np.abs(theta[:, 2]) >= _SKEWNORMAL_MIN_ALPHA
 
 
 # --- z <-> theta maps -----------------------------------------------------
@@ -564,7 +643,12 @@ class Family:
     column pairs in which their log shape is linear (``_log_linear_start``):
     maxent and beta on their ``weights``, gengamma on log x and -x^p at each
     power p of a 24-point log-spaced scan over its start range.  Richards
-    reads its peak and half-maximum crossings (``_start_richards``).
+    and skewnormal read the peak and half-maximum crossings
+    (``_start_richards``, ``_start_skewnormal``).  ``trusted`` maps a
+    (m, d) theta-matrix to the rows at which a one-start run is trusted
+    (by default every row): the fitter drops candidates outside it and runs
+    the pool when the one-start run ends outside it.  Skewnormal trusts
+    |alpha| >= 0.3, away from its singular point alpha = 0.
     """
 
     display_name: str
@@ -577,6 +661,7 @@ class Family:
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
     start: Callable | None = None
+    trusted: Callable = _everywhere
 
     def __post_init__(self) -> None:
         if self.coords is None:
@@ -613,6 +698,7 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("xi", "free", 0.0, 1.0, (0.0, 1.0), False),
          Param("omega", "pos", 0.02, 1.0, (0.08, 0.3), True),
          Param("alpha", "free", -20.0, 20.0, (-2.5, 2.5), False)),
+        start=_start_skewnormal, trusted=_skewnormal_trusted,
     ),
     ModelKind.GENGAMMA: Family(
         "GenGamma", "#2ca02c", _ls_gengamma, _dls_gengamma,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import unifit.fitting as fitting
 from unifit import KIND_ORDER, BenchConfig, FitConfig, cross_compare
 from unifit.bench import _trial_series
 
@@ -81,21 +82,23 @@ def test_compare_counts_fits_from_the_pool(census, one_trial):
     starts = {}
     for r in a["fits"]:
         starts.setdefault(r["fitter"], []).append(r["starts"])
-    # at trials=1 every fit finishes; skewnormal always runs the pool, the
-    # log-linear starts of gengamma, maxent and beta hold here, and richards
-    # reads a start from some series and falls back on others
-    assert starts["skewnormal"] == [16] * 5
+    # at trials=1 every fit finishes; the log-linear starts of gengamma,
+    # maxent and beta hold here, and richards and skewnormal read a start
+    # from some series and fall back on others
     assert starts["gengamma"] == starts["maxent"] == starts["beta"] == [1] * 5
-    assert sorted(set(starts["richards"])) == [1, 16]
-    pooled = starts["richards"].count(16)
+    assert sorted(set(starts["richards"])) == sorted(set(starts["skewnormal"])) == [1, 16]
+    pooled = {name: starts[name].count(16) for name in ("richards", "skewnormal")}
     b = copy.deepcopy(a)
     fell_back = next(r for r in b["fits"] if r["fitter"] == "gengamma")
     fell_back["starts"] = 16
     summary = census.compare(a, b)
     assert summary["gengamma"]["pool"] == [0, 1] and summary["gengamma"]["differ"] == 1
-    assert summary["richards"]["pool"] == [pooled, pooled] and summary["maxent"]["pool"] == [0, 0]
+    for name, count in pooled.items():
+        assert summary[name]["pool"] == [count, count]
+    assert summary["maxent"]["pool"] == [0, 0]
     total = next(line for line in census.report(summary).splitlines() if line.startswith("all "))
-    assert f"{5 + pooled} -> {6 + pooled}" in total
+    both = sum(pooled.values())
+    assert f"{both} -> {both + 1}" in total
 
 
 def test_compare_reads_a_census_without_start_counts(census, one_trial):
@@ -106,8 +109,22 @@ def test_compare_reads_a_census_without_start_counts(census, one_trial):
     for summary in (census.compare(old, a), census.compare(a, old)):
         assert sum(row["differ"] for row in summary.values()) == 0
         assert all(None in row["pool"] for row in summary.values())
-    text = census.report(census.compare(old, a))
-    assert "? -> 5" in text and "? -> 0" in text
+    rows = {line.split()[0]: line for line in census.report(census.compare(old, a)).splitlines()}
+    pooled = sum(r["starts"] > 1 for r in a["fits"] if r["fitter"] == "skewnormal")
+    assert pooled > 0 and f"? -> {pooled}" in rows["skewnormal"] and "? -> 0" in rows["maxent"]
+
+
+def test_pool_only_runs_every_fit_from_the_pool(census, one_trial, tmp_path):
+    path = tmp_path / "pool.json"
+    argv = ["run", "--seed", "1", "--trials", "1", "--pool-only", "--out", str(path)]
+    start = fitting._closed_form_start
+    assert census.main(argv) == 0
+    assert fitting._closed_form_start is start  # restored after the run
+    pool = json.loads(path.read_text(encoding="utf-8"))
+    assert pool["pool_only"] is True and one_trial[0]["pool_only"] is False
+    assert [r["starts"] for r in pool["fits"]] == [16] * 25
+    summary = census.compare(pool, one_trial[0])
+    assert all(row["pool"][0] == 5 for row in summary.values())
 
 
 FORMS = ["thin8", "thin12", "thin20", "noise0.05", "noise0.1", "cut0.5", "cut0.7"]

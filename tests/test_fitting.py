@@ -100,7 +100,9 @@ class TestFit:
         b = fit(series, ModelKind.MAXENT, FitConfig(seed=7))
         assert a == b
 
-    def test_rms_equals_min_start_loss(self):
+    def test_rms_equals_min_start_loss(self, monkeypatch):
+        # a fit from the seeded pool alone, skipping the closed-form start
+        monkeypatch.setattr(fitting, "_closed_form_start", lambda *args: None)
         series = maxent_series(1.3, 0.4)
         result = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=3))
         assert result.rms == min(result.start_losses)
@@ -145,10 +147,11 @@ class TestFit:
             # reconstructing the params re-runs the family bound checks
             ShapeParams(kind, result.model.params.values)
 
-    def test_passes_capped_at_200(self):
-        # skewnormal fitting a seed-1 benchmark richards series with the
-        # benchmark's fit seed: one start crawls along a ridge, still
-        # improving, to the cap
+    def test_passes_capped_at_200(self, monkeypatch):
+        # skewnormal fitting a seed-1 benchmark richards series from the
+        # pool of the benchmark's fit seed: one start crawls along a ridge,
+        # still improving, to the cap (the closed-form start is skipped)
+        monkeypatch.setattr(fitting, "_closed_form_start", lambda *args: None)
         series = _trial_series(BenchConfig(seed=1), 0, 19)
         seed = bench._fit_config(BenchConfig(seed=1, fit=FitConfig(seed=1)), 0, 19, 1).seed
         capped = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed, max_iterations=200))
@@ -218,11 +221,14 @@ class TestFit:
 
 
     @pytest.mark.parametrize("seed", [731310701, 18324004])
-    def test_fit_on_the_half_normal_ridge_keeps_its_peak(self, seed):
-        # the winning skewnormal start ends on the half-normal ridge (alpha
-        # -1.5e80 and -2.0e22), where the midpoint of the mode's final
-        # golden-section bracket lands just past xi, in the shape's
-        # underflow to 0: the fit raised "degenerate profiled amplitude"
+    def test_fit_on_the_half_normal_ridge_keeps_its_peak(self, seed, monkeypatch):
+        # the winning start of these seeds' pools ends on the half-normal
+        # ridge (alpha -1.5e80 and -2.0e22), where the midpoint of the
+        # mode's final golden-section bracket lands just past xi, in the
+        # shape's underflow to 0: the fit raised "degenerate profiled
+        # amplitude".  The closed-form start (alpha -6.1) never reaches the
+        # ridge, so it is skipped
+        monkeypatch.setattr(fitting, "_closed_form_start", lambda *args: None)
         series = normalize(load_series(bundled_dataset_path("st_matthew")))[0]
         result = fit(series, ModelKind.SKEWNORMAL, FitConfig(seed=seed))
         model = result.model
@@ -591,6 +597,9 @@ GENGAMMA_SHAPES = [(0.05, 1.5, 0.6), (0.2, 3.0, 1.3), (0.5, 8.0, 4.5), (1.0, 2.0
 # richards shapes whose peak spans several points of the 22-point grid, so
 # that its half-maximum reading is within 1% of theta there too
 RICHARDS_SHAPES = [(10.0, 0.45, 1.0), (5.0, 0.55, 0.5), (4.0, 0.5, 0.3)]
+SKEWNORMAL_SHAPES = [
+    (0.4, 0.1, 2.0), (0.5, 0.15, -1.5), (0.3, 0.08, 5.0), (0.6, 0.12, -8.0), (0.45, 0.2, 0.8)
+]
 # beta (51, 1.05) on 22 points has only two points above 2% of the maximum
 # (the closed-form start needs three): the fallback test below uses it
 TWO_POINTS = (ModelKind.BETA, (51.0, 1.05), 22)
@@ -600,13 +609,22 @@ def _shape_series(kind, theta, n):
     return sample_series(CurveModel(ShapeParams(kind, theta), 1.0), n)
 
 
+def _long_series(kind, theta, noise_seed):
+    """A perfbench long-series input: the shape on 1001 points plus noise
+    of sigma 0.03 drawn with noise_seed, clipped at 0."""
+    clean = _shape_series(kind, theta, 1001)
+    noise = np.random.default_rng(noise_seed).normal(0.0, 0.03, clean.ys.size)
+    return SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
+
+
 def _long_series_round_52():
     """perfbench's long-series seed 1 round 52: a noisy gengamma shape."""
-    clean = _shape_series(
-        ModelKind.GENGAMMA, (0.3287807953114529, 1.4415864327456753, 2.886791514872707), 1001
-    )
-    noise = np.random.default_rng(4608141326015880419).normal(0.0, 0.03, clean.ys.size)
-    return SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
+    theta = (0.3287807953114529, 1.4415864327456753, 2.886791514872707)
+    return _long_series(ModelKind.GENGAMMA, theta, 4608141326015880419)
+
+
+#: the richards shape of perfbench's long-series rounds 50, 60, ...
+LONG_SERIES_RICHARDS = (90.2255307178825, 0.3749961532564603, 2.7731243120759466)
 
 
 def _fit_logging_runs(monkeypatch, series, kind, config, lockstep=fitting._lm_lockstep):
@@ -779,11 +797,7 @@ class TestClosedFormStart:
     def test_gengamma_start_scored_by_rms_matches_the_pool(self, monkeypatch):
         # long-series seed 1 round 50: a noisy richards shape on which the
         # candidate of least log-space residual ended 1.65x above the pool
-        theta = (90.2255307178825, 0.3749961532564603, 2.7731243120759466)
-        shape = ShapeParams(ModelKind.RICHARDS, theta)
-        clean = sample_series(CurveModel(shape, 1.0), 1001)
-        noise = np.random.default_rng(6257429007608818135).normal(0.0, 0.03, clean.ys.size)
-        series = SampledSeries(clean.xs, np.clip(clean.ys + noise, 0.0, None))
+        series = _long_series(ModelKind.RICHARDS, LONG_SERIES_RICHARDS, 6257429007608818135)
         kind = ModelKind.GENGAMMA
         result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig())
         assert [len(z) for z in runs] == [1]
@@ -793,9 +807,10 @@ class TestClosedFormStart:
 
     @pytest.mark.parametrize(
         "kind,name",
-        [(k, name) for k in (ModelKind.MAXENT, ModelKind.BETA, ModelKind.GENGAMMA)
+        [(k, name)
+         for k in (ModelKind.MAXENT, ModelKind.BETA, ModelKind.GENGAMMA, ModelKind.SKEWNORMAL)
          for name in BUNDLED_DATASETS]
-        # Universe 25's richards reading has no second half-maximum crossing
+        # Universe 25's half-width ratio (0.29) is off the richards table
         + [(ModelKind.RICHARDS, "st_matthew")],
         ids=lambda v: getattr(v, "value", v),
     )
@@ -869,6 +884,97 @@ class TestClosedFormStart:
         loss, normal = fitting._projection(kind, EvalGrid(series.xs), series.ys)
         pool = fitting._lm_lockstep(loss, normal, start_pool(kind, 16, 0), 1e-12, 200)[1]
         assert fit(series, kind, FitConfig()).rms <= 1.01 * pool.min()
+
+    def test_skewnormal_table_solves_the_half_maximum(self):
+        ratio, alpha, m, span = models._skewnormal_table()
+        # R falls as alpha rises
+        assert ratio.size == 161 and (np.diff(ratio) > 0.0).all() and (np.diff(alpha) < 0.0).all()
+        np.testing.assert_array_equal(alpha[::-1], np.linspace(-20.0, 20.0, 161))
+        # alpha = 0 is the normal density: mode 0, half-widths sqrt(2 log 2)
+        i = 80
+        assert alpha[i] == 0.0
+        assert ratio[i] == pytest.approx(1.0, abs=1e-12) and m[i] == pytest.approx(0.0, abs=1e-12)
+        assert span[i] == pytest.approx(2.0 * math.sqrt(2.0 * math.log(2.0)), abs=1e-12)
+        # on the shape xi = 0.5, omega = 0.1, m is the peak and the tabled
+        # crossings lie at half of it
+        family = FAMILIES[ModelKind.SKEWNORMAL]
+        for i in (0, 40, 100, 160):
+            z_l = m[i] - span[i] * ratio[i] / (1.0 + ratio[i])
+            grid = EvalGrid(0.5 + 0.1 * np.array([m[i], z_l, z_l + span[i]]))
+            peak, left, right = family.kernel(0.5, 0.1, alpha[i], grid)
+            np.testing.assert_allclose([left - peak, right - peak], [-math.log(2.0)] * 2, rtol=1e-9)
+            assert abs(family.partials(0.5, 0.1, alpha[i], grid)[0][0]) < 1e-9
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    @pytest.mark.parametrize("theta", SKEWNORMAL_SHAPES, ids=str)
+    def test_noiseless_skewnormal_fits_from_one_start(self, theta, n, monkeypatch):
+        kind = ModelKind.SKEWNORMAL
+        series = _shape_series(kind, theta, n)
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, FitConfig(seed=0))
+        assert [len(z) for z in runs] == [1] and len(result.start_losses) == 1
+        assert result.rms < 1e-12
+        if n == 1001:
+            start = FAMILIES[kind].coords[0](runs[0])[0][0]
+            np.testing.assert_allclose(start, theta, rtol=0.02)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["near-box width", "too few samples", "alpha near 0 as read", "run ends near alpha 0"],
+    )
+    def test_skewnormal_gates_run_the_pool(self, case, monkeypatch):
+        kind = ModelKind.SKEWNORMAL
+        config = FitConfig(seed=5)
+        if case == "near-box width":
+            series = _shape_series(ModelKind.BETA, (1.2, 1.2), 101)
+        elif case == "too few samples":
+            # the seed-2 benchmark skewnormal trial 7 thinned to 8 points, as
+            # the off-distribution panel thins it: read from the one sample
+            # inside its half maximum, the start ended at rms 9.6e-5, where
+            # the pool fits it exactly
+            bench_config = BenchConfig(seed=2, fit=FitConfig(seed=2))
+            full = _trial_series(bench_config, 1, 7)
+            keep = np.linspace(0, len(full) - 1, 8).round().astype(int)
+            series = SampledSeries(full.xs[keep], full.ys[keep])
+            config = bench._fit_config(bench_config, 1, 7, KIND_ORDER.index(kind))
+        elif case == "alpha near 0 as read":
+            series = _shape_series(kind, (0.5, 0.1, 0.0), 101)
+        else:
+            # perfbench's long-series seed 4242 round 80: read at alpha 2.1,
+            # the one start ended "converged" at alpha 0.006 and rms 0.0353,
+            # where the pool reaches alpha -2.69 and rms 0.0258
+            series = _long_series(ModelKind.RICHARDS, LONG_SERIES_RICHARDS, 4050423835367577452)
+            config = FitConfig()
+        x_l, _, x_r = models._half_maximum(series.xs, series.ys)
+        inside = np.count_nonzero((series.xs > x_l) & (series.xs < x_r))
+        assert (x_r - x_l >= 0.6, inside < 3) == (
+            case == "near-box width", case == "too few samples"
+        )
+        theta = FAMILIES[kind].start(EvalGrid(series.xs), series.ys)
+        if case in ("near-box width", "too few samples"):
+            assert theta is None
+        else:
+            assert (abs(theta[0, 2]) < 0.3) == (case == "alpha near 0 as read")
+        result, runs, passes = _fit_logging_runs(monkeypatch, series, kind, config)
+        if case == "run ends near alpha 0":
+            assert [len(z) for z in runs] == [1, 16]
+            _assert_pool_result(result, series, kind, config, spent=passes[0])
+            assert result.rms < 0.026 and result.model.params.values[2] < -2.0
+        else:
+            assert [len(z) for z in runs] == [16]
+            _assert_pool_result(result, series, kind, config)
+
+    def test_skewnormal_trap_self_fit_recovers(self, monkeypatch):
+        # the seed-4242 benchmark skewnormal trial 6: the best start of its
+        # pool stops near alpha = 0 at rms 0.026 (ROADMAP item 2); the read
+        # start fits it exactly
+        bench_config = BenchConfig(seed=4242, fit=FitConfig(seed=4242))
+        series = _trial_series(bench_config, 1, 6)
+        kind = ModelKind.SKEWNORMAL
+        config = bench._fit_config(bench_config, 1, 6, KIND_ORDER.index(kind))
+        result = fit(series, kind, config)
+        assert len(result.start_losses) == 1 and result.rms < 1e-12
+        monkeypatch.setattr(fitting, "_closed_form_start", lambda *args: None)
+        assert fit(series, kind, config).rms > 0.02
 
 
 class TestStartPool:

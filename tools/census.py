@@ -3,6 +3,7 @@
     PYTHONPATH=src python tools/census.py run --seed 1 --trials 100 --out before.json
     PYTHONPATH=src python tools/census.py compare before.json after.json
     PYTHONPATH=src python tools/census.py run --panel --out panel.json
+    PYTHONPATH=src python tools/census.py run --seed 1 --trials 100 --pool-only --out pool.json
 
 ``run`` makes every fit of ``unifit bench --trials T --seed S`` (each
 generator, trial and fitter), one ``fit()`` at a time with the benchmark's
@@ -19,12 +20,11 @@ checkout is censused with its own copy.
 ``compare`` prints, per fitter, the fits whose records are not
 byte-identical (0 when a change leaves every fit bit-identical; the start
 count is left out when a census lacks it), the change in lockstep passes,
-the fits whose result came from the start pool (more than one start:
-every richards and skewnormal fit, and a maxent, beta or gengamma fit
-whose closed-form start fell back; ``?`` for a census without start
-counts), the fits more than 1% worse or better (a difference of at most
-1e-9 in rms is round-off on near-zero self-fits and is ignored), the fits
-that switched between a result and
+the fits whose result came from the start pool (more than one start: a
+fit whose closed-form start read no candidate or fell back; ``?`` for a
+census without start counts), the fits more than 1% worse or better (a
+difference of at most 1e-9 in rms is round-off on near-zero self-fits and
+is ignored), the fits that switched between a result and
 ``FitFailureError``, and the winners that converged; then each fit more
 than 1% worse or better.
 
@@ -37,6 +37,12 @@ thinned to 8, 12 and 20 evenly spaced points (``thin8``, ``thin12``,
 rescaled to x in [0.02, 0.98] and a unit maximum, as ``dataio.normalize``
 maps data (``cut0.5``, ``cut0.7``).  ``compare`` of two panels also prints
 the worse, better and switched counts per perturbation and fitter.
+
+``run --pool-only`` (with or without ``--panel``) makes every fit from
+the seeded start pool alone, with ``fitting._closed_form_start`` patched
+to return None for the run, and records ``"pool_only": true``: comparing
+it with a plain census of the same checkout measures its start policy
+against the pool.
 """
 
 from __future__ import annotations
@@ -101,13 +107,25 @@ def _fit_record(series, fitter, config: FitConfig, log: list[int]) -> dict:
     return record
 
 
-def _fits(config: BenchConfig, forms) -> list[dict]:
+@contextmanager
+def _pool_only(on: bool):
+    """With ``on``, fits skip their closed-form start and run the pool."""
+    inner = fitting._closed_form_start
+    if on:
+        fitting._closed_form_start = lambda *args: None
+    try:
+        yield
+    finally:
+        fitting._closed_form_start = inner
+
+
+def _fits(config: BenchConfig, forms, pool_only: bool) -> list[dict]:
     """A record per (generator, trial, form, fitter) of config's benchmark
     series, forms mapping the benchmark config, generator and trial to
     (fields naming the form, series) pairs."""
     fits = []
     log: list[int] = []
-    with _lockstep_passes(log):
+    with _lockstep_passes(log), _pool_only(pool_only):
         for g, generator in enumerate(KIND_ORDER):
             for trial in range(config.trials_per_cell):
                 for fields, series in forms(config, g, trial):
@@ -119,11 +137,11 @@ def _fits(config: BenchConfig, forms) -> list[dict]:
     return fits
 
 
-def run(seed: int, trials: int) -> dict:
+def run(seed: int, trials: int, pool_only: bool = False) -> dict:
     """The census of ``unifit bench --trials trials --seed seed``."""
     config = BenchConfig(trials_per_cell=trials, seed=seed, fit=FitConfig(seed=seed))
-    fits = _fits(config, lambda c, g, trial: [({}, _trial_series(c, g, trial))])
-    return {"seed": seed, "trials": trials, "fits": fits}
+    fits = _fits(config, lambda c, g, trial: [({}, _trial_series(c, g, trial))], pool_only)
+    return {"seed": seed, "trials": trials, "pool_only": pool_only, "fits": fits}
 
 
 #: The off-distribution panel: its seeds and trials, and its perturbations.
@@ -153,15 +171,16 @@ def panel_forms(config: BenchConfig, g: int, trial: int) -> list[tuple[str, Samp
     return forms
 
 
-def run_panel(seeds=PANEL_SEEDS, trials: int = PANEL_TRIALS) -> dict:
+def run_panel(seeds=PANEL_SEEDS, trials: int = PANEL_TRIALS, pool_only: bool = False) -> dict:
     """The census of the off-distribution panel at the given seeds."""
     fits = []
     for seed in seeds:
         config = BenchConfig(trials_per_cell=trials, seed=seed, fit=FitConfig(seed=seed))
         fits += _fits(config, lambda c, g, trial: [
             ({"seed": c.seed, "form": name}, series) for name, series in panel_forms(c, g, trial)
-        ])
-    return {"panel": True, "seeds": list(seeds), "trials": trials, "fits": fits}
+        ], pool_only)
+    return {"panel": True, "seeds": list(seeds), "trials": trials, "pool_only": pool_only,
+            "fits": fits}
 
 
 def _key(record: dict) -> tuple:
@@ -282,6 +301,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--trials", type=int, help="required without --panel")
     p_run.add_argument("--panel", action="store_true",
                        help="fit the off-distribution panel (default seeds 1 and 2, trials 12)")
+    p_run.add_argument("--pool-only", action="store_true",
+                       help="fit from the seeded start pool alone, skipping closed-form starts")
     p_run.add_argument("--out", required=True)
     p_cmp = sub.add_parser("compare", help="compare census B against census A")
     p_cmp.add_argument("a")
@@ -290,11 +311,12 @@ def main(argv=None) -> int:
     if args.command == "run":
         if args.panel:
             seeds = PANEL_SEEDS if args.seed is None else (args.seed,)
-            census = run_panel(seeds, PANEL_TRIALS if args.trials is None else args.trials)
+            trials = PANEL_TRIALS if args.trials is None else args.trials
+            census = run_panel(seeds, trials, args.pool_only)
         elif args.seed is None or args.trials is None:
             parser.error("run needs --seed and --trials, or --panel")
         else:
-            census = run(args.seed, args.trials)
+            census = run(args.seed, args.trials, args.pool_only)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(census, fh, indent=1)
             fh.write("\n")
