@@ -29,6 +29,7 @@ from .models import (
     ModelKind,
     SampledSeries,
     ShapeParams,
+    _crossings,
     evaluate_on,
     mode,
     sample_series,
@@ -105,24 +106,13 @@ class CrossTable:
 
 
 def _fwhm(params: ShapeParams, n_grid: int = 2049) -> float:
-    """Full width at half maximum of the peak-normalized shape; crossings
-    are linearly interpolated, truncated widths extend to the boundary."""
+    """Full width at half maximum of the peak-normalized shape, between
+    its ``_crossings``; truncated widths extend to the boundary."""
     xs = np.linspace(0.0, 1.0, n_grid)
     ys = evaluate_on(CurveModel(params, 1.0), xs)
     k = int(np.argmax(ys))
-    half = 0.5 * ys[k]
-
-    left = 0.0
-    below = np.flatnonzero(ys[:k] < half)
-    if below.size:
-        i = below[-1]
-        left = xs[i] + (xs[i + 1] - xs[i]) * (half - ys[i]) / (ys[i + 1] - ys[i])
-    right = 1.0
-    above = np.flatnonzero(ys[k:] < half)
-    if above.size:
-        j = k + above[0]
-        right = xs[j - 1] + (xs[j] - xs[j - 1]) * (ys[j - 1] - half) / (ys[j - 1] - ys[j])
-    return right - left
+    left, right = _crossings(xs, ys, k, 0.5 * ys[k])
+    return (1.0 if right is None else right) - (0.0 if left is None else left)
 
 
 def sample_generator_params(kind: ModelKind, rng_seed: int) -> ShapeParams:

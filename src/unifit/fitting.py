@@ -16,31 +16,29 @@ those ``coords``, so ``fit`` returns the parameters whose rms it reports.
 Starts: every family first runs one start read off the series by its
 ``models.Family.start``.  Maxent, beta and gengamma, whose log shapes are
 linear in theta on two columns f, g (gengamma's at each fixed power p),
-take a closed-form scan: the weighted least-squares fit of log y on (1,
-f, g) for each candidate pair (one for maxent and beta, 24 powers for
+take a closed-form scan: the weighted least-squares fit of log y on (1, f,
+g) for each candidate pair (one for maxent and beta, 24 powers for
 gengamma), the candidate of lowest profiled rms among those inside the
 bounds running alone.  Richards and skewnormal read the peak and the two
-half-maximum crossings, which give the location, the shape (nu or alpha,
-from the ratio of the half-widths) and the scale (k or omega, from the
-full width), and read nothing from a series whose maximum is an end
-point, whose half maximum is not crossed on both sides or whose
-half-width ratio lies off the family's table; richards also not when the
-half-maximum width is 0.7 or more, skewnormal when it is 0.6 or more or
-fewer than 3 samples lie between the crossings.  Skewnormal trusts its
-one-start run only away from alpha = 0 (``models.Family.trusted``), where
-its Jacobian is singular: a start read at |alpha| < 0.3 is not run, and a
-run that ends there falls back.  The fallback is a seeded Latin hypercube
-over the per-family start ranges in ``models.FAMILIES``, mapped to theta
-by ``models.Param.from_unit`` (as the benchmark's generation draws are)
-and then to z.  The pool is built in blocks of 16 (the default start count),
-so the pool for ``starts=k`` is a prefix of the pool for any larger count
-with the same seed.  All starts advance in lockstep: each pass scores the
-trial steps of all active starts in one batched loss call, which also
-returns the parameters, shapes, amplitudes and residuals it computed, and
-rebuilds the normal equations of the starts whose step was accepted from
-those, adding only their partial derivatives: the family kernel runs once
-per trial point.  A row's result does not depend on which rows share its
-batch, so each start's trajectory is identical to running it alone.
+half-maximum crossings (``models._reading_start``), which give the
+location, the shape (nu or alpha, from the ratio of the half-widths) and
+the scale (k or omega, from the full width); each family's gates, under
+which it reads nothing, are the arguments of its registry entry.
+Skewnormal trusts its one-start run only away from alpha = 0
+(``models.Family.trusted``), where its Jacobian is singular: a start read
+at |alpha| < 0.3 is not run, and a run that ends there falls back.  The
+fallback is a seeded Latin hypercube over the per-family start ranges in
+``models.FAMILIES``, mapped to theta by ``models.Param.from_unit`` (as the
+benchmark's generation draws are) and then to z.  The pool is built in
+blocks of 16 (the default start count), so the pool for ``starts=k`` is a
+prefix of the pool for any larger count with the same seed.  All starts
+advance in lockstep: each pass scores the trial steps of all active starts
+in one batched loss call, which also returns the parameters, shapes,
+amplitudes and residuals it computed, and rebuilds the normal equations of
+the starts whose step was accepted from those, adding only their partial
+derivatives: the family kernel runs once per trial point.  A row's result
+does not depend on which rows share its batch, so each start's trajectory
+is identical to running it alone.
 
 A start stops, converged, when an accepted step lowers its rms by at most
 ``FitConfig.simplex_tolerance`` (an absolute amount, which ends fits whose
@@ -393,14 +391,12 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
 
 
 def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rms):
-    """The family's closed-form start (1, d) in z, or None when it has none
-    or no candidate is valid: the candidates of ``FAMILIES[kind].start``
-    with theta and z finite and strictly inside the bounds (no clamp) and
-    theta that the family's ``trusted`` accepts; of several, the one of
-    lowest profiled rms, the lowest index on ties."""
+    """The family's closed-form start (1, d) in z, or None when no
+    candidate is valid: the candidates of ``FAMILIES[kind].start`` with
+    theta and z finite and strictly inside the bounds (no clamp) and theta
+    that the family's ``trusted`` accepts; of several, the one of lowest
+    profiled rms, the lowest index on ties."""
     family = FAMILIES[kind]
-    if family.start is None:
-        return None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         theta = family.start(grid, ys)
         if theta is None:

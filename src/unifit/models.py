@@ -377,38 +377,29 @@ def _bisect(above: np.ndarray, below: np.ndarray, up: Callable) -> np.ndarray:
     return 0.5 * (above + below)
 
 
-@lru_cache(maxsize=None)
-def _richards_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, log nu, u+ - u-) at 121 nu log-spaced over [1e-3, 1e3], R rising
-    with nu.  Against its peak, the richards log shape is h(u) = u - (1 +
-    1/nu) log((1 + nu e^u) / (1 + nu)), u = -k (x - t0); u+ > 0 > u- solve
-    h(u) = -log 2, so the half-maximum crossings lie u+ / k left and -u- / k
-    right of t0, and R = u+ / -u- is the ratio of the half-widths.  h is
-    concave with its maximum 0 at u = 0, and h <= -log 2 at u = (1 + nu)
-    log(1 + 1/nu) + nu log 2 and at u = -(1 + 1/nu) log(1 + nu) - log 2,
-    which bracket the bisection of each root."""
-    nu = np.logspace(-3.0, 3.0, 121)
-    c = 1.0 + 1.0 / nu
-    log_nu, log2 = np.log(nu), math.log(2.0)
-    below = np.stack([(1.0 + nu) * np.log1p(1.0 / nu) + nu * log2, -c * np.log1p(nu) - log2])
-    # h > -log 2 on the peak side of each root
-    u_plus, u_minus = _bisect(
-        np.zeros((2, nu.size)), below,
-        lambda u: u - c * (np.logaddexp(0.0, log_nu + u) - np.log1p(nu)) > -log2,
-    )
-    table = u_plus / -u_minus, log_nu, u_plus - u_minus
-    for column in table:
-        column.setflags(write=False)
-    return table
+def _crossings(xs: np.ndarray, ys: np.ndarray, i: int, half: float):
+    """(x_l, x_r): where the series crosses the level half nearest its
+    sample i on each side, interpolated linearly between the samples that
+    straddle it; each None when the series does not fall below half on
+    that side."""
+    left = np.flatnonzero(ys[:i] < half)
+    right = np.flatnonzero(ys[i + 1 :] < half)
+    x_l = x_r = None
+    if left.size:
+        j = left[-1]
+        x_l = xs[j] + (xs[j + 1] - xs[j]) * (half - ys[j]) / (ys[j + 1] - ys[j])
+    if right.size:
+        m = i + 1 + right[0]
+        x_r = xs[m - 1] + (xs[m] - xs[m - 1]) * (ys[m - 1] - half) / (ys[m - 1] - ys[m])
+    return x_l, x_r
 
 
 def _half_maximum(xs: np.ndarray, ys: np.ndarray):
     """(x_l, peak, x_r) of a series, as read in peak fitting (Guo 2011):
     the peak is the vertex of the parabola through the sample maximum and
-    its two neighbours, and x_l < peak < x_r the crossings of half the
-    vertex height, interpolated linearly between the samples nearest the
-    peak that straddle it.  None when the maximum is an end point or the
-    series does not fall below half of it on both sides."""
+    its two neighbours, and x_l < peak < x_r the ``_crossings`` of half the
+    vertex height.  None when the maximum is an end point or the series
+    does not fall below half of it on both sides."""
     i = int(np.argmax(ys))
     if i == 0 or i == ys.size - 1:
         return None
@@ -419,98 +410,77 @@ def _half_maximum(xs: np.ndarray, ys: np.ndarray):
     if curve < 0.0:
         peak = 0.5 * (x0 + x1 - d1 / curve)
         top = y0 + (peak - x0) * (d1 + curve * (peak - x1))
-    half = 0.5 * top
-    left = np.flatnonzero(ys[:i] < half)
-    right = np.flatnonzero(ys[i + 1 :] < half)
-    if not (left.size and right.size):
+    x_l, x_r = _crossings(xs, ys, i, 0.5 * top)
+    if x_l is None or x_r is None:
         return None
-    j, m = left[-1], i + 1 + right[0]
-    x_l = xs[j] + (xs[j + 1] - xs[j]) * (half - ys[j]) / (ys[j + 1] - ys[j])
-    x_r = xs[m - 1] + (xs[m] - xs[m - 1]) * (ys[m - 1] - half) / (ys[m - 1] - ys[m])
     return x_l, peak, x_r
 
 
-#: Widest half-maximum width from which richards starts by its reading.
-_RICHARDS_MAX_WIDTH = 0.7
-
-
-def _start_richards(grid: EvalGrid, ys: np.ndarray):
-    """Richards' start from the ``_half_maximum`` reading (x_l, t0, x_r) of
-    the series: nu inverts R = (t0 - x_l) / (x_r - t0) through
-    ``_richards_table`` and k = (u+ - u-)(nu) / W, W = x_r - x_l.  No
-    candidate when there is no reading, W >= 0.7 (near-box series, whose
-    best richards fit lies in another basin) or R is off the table (nu
-    would be clamped)."""
-    read = _half_maximum(grid.xs, ys)
-    if read is None:
-        return None
-    x_l, t0, x_r = read
-    ratio_table, log_nu, span = _richards_table()
-    width, ratio = x_r - x_l, (t0 - x_l) / (x_r - t0)
-    if not (width < _RICHARDS_MAX_WIDTH and ratio_table[0] <= ratio <= ratio_table[-1]):
-        return None
-    nu = math.exp(np.interp(ratio, ratio_table, log_nu))
-    return np.array([[np.interp(ratio, ratio_table, span) / width, t0, nu]])
-
-
-@lru_cache(maxsize=None)
-def _skewnormal_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(R, alpha, m, W) at 161 alpha evenly spaced over [-20, 20], R
-    rising (alpha falling).  For the unit shape (xi = 0, omega = 1) the log
-    shape is -z^2 / 2 + log Phi(alpha z), whose slope alpha phi(alpha z) /
-    Phi(alpha z) - z falls from above 0 at z = -1 to below 0 at z = 1: its
-    root is the mode m.  Against its peak the log shape is concave with
-    curvature at least 1, so it falls below -log 2 within sqrt(2 log 2) <
-    1.2 of m on each side, which brackets the half-maximum crossings z_l <
-    m < z_r; R = (m - z_l) / (z_r - m) is the ratio of the half-widths and
-    W = z_r - z_l the full width."""
-    alpha = np.linspace(-20.0, 20.0, 161)
+def _half_width_table(kind: ModelKind, shapes: np.ndarray, location: int, to_theta: Callable):
+    """(R, shape, m, W) of the unit shapes to_theta(1, 0, shapes) (scale 1,
+    location 0) of a family, rows sorted by R.  The mode m bisects [-1, 1]
+    on the sign of d log s / dx = -d log s / d location (the family's
+    ``partials``); the half-maximum crossings z_l < m < z_r, where the
+    ``kernel`` lies log 2 below its value at m, bisect 1e3 either side of m
+    (the widest richards half-width, at nu = 1e3, is about 694).  R = (m -
+    z_l) / (z_r - m) is the ratio of the half-widths, W = z_r - z_l the
+    full width."""
+    family = FAMILIES[kind]
+    theta = to_theta(1.0, 0.0, shapes)
 
     def log_shape(z):
-        return _ls_skewnormal(0.0, 1.0, alpha, EvalGrid(z))
+        return family.kernel(*theta, EvalGrid(z))
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         m = _bisect(
-            np.full_like(alpha, -1.0), np.ones_like(alpha),
-            lambda z: alpha * _SQRT_2_OVER_PI / erfcx(-alpha * z * _SQRT1_2) > z,
+            np.full_like(shapes, -1.0), np.ones_like(shapes),
+            lambda z: family.partials(*theta, EvalGrid(z))[location] < 0.0,
         )
         half = log_shape(m) - math.log(2.0)
-        z_l = _bisect(m, m - 1.2, lambda z: log_shape(z) > half)
-        z_r = _bisect(m, m + 1.2, lambda z: log_shape(z) > half)
-    order = np.argsort((m - z_l) / (z_r - m))
-    table = tuple(column[order] for column in ((m - z_l) / (z_r - m), alpha, m, z_r - z_l))
+        z_l = _bisect(m, m - 1e3, lambda z: log_shape(z) > half)
+        z_r = _bisect(m, m + 1e3, lambda z: log_shape(z) > half)
+    ratio = (m - z_l) / (z_r - m)
+    order = np.argsort(ratio)
+    table = tuple(column[order] for column in (ratio, shapes, m, z_r - z_l))
     for column in table:
         column.setflags(write=False)
     return table
 
 
-#: Widest half-maximum width from which skewnormal starts by its reading.
-_SKEWNORMAL_MAX_WIDTH = 0.6
+def _reading_start(kind: ModelKind, shapes: np.ndarray, location: int, to_theta: Callable,
+                   max_width: float, min_inside: int = 0) -> Callable:
+    """The ``Family.start`` that reads (x_l, peak, x_r) off the series
+    (``_half_maximum``) and inverts R = (peak - x_l) / (x_r - peak) through
+    the family's ``_half_width_table`` at ``shapes``: theta =
+    to_theta(scale, peak - scale m, shape), scale = (x_r - x_l) / W.  No
+    candidate without a reading, from a width of max_width or more
+    (near-box series, whose best fit lies in another basin), from fewer
+    than min_inside samples strictly between the crossings (too few to
+    read the shape) or with R off the table (the shape would be clamped).
+    ``table()`` returns the table, built on the first call."""
+    table = lru_cache(maxsize=None)(lambda: _half_width_table(kind, shapes, location, to_theta))
+
+    def start(grid: EvalGrid, ys: np.ndarray):
+        read = _half_maximum(grid.xs, ys)
+        if read is None:
+            return None
+        x_l, peak, x_r = read
+        ratio_table, shape, m, span = table()
+        width, ratio = x_r - x_l, (peak - x_l) / (x_r - peak)
+        inside = np.count_nonzero((grid.xs > x_l) & (grid.xs < x_r))
+        if not (width < max_width and inside >= min_inside
+                and ratio_table[0] <= ratio <= ratio_table[-1]):
+            return None
+        scale = width / np.interp(ratio, ratio_table, span)
+        return np.array([to_theta(scale, peak - scale * np.interp(ratio, ratio_table, m),
+                                  np.interp(ratio, ratio_table, shape))])
+
+    start.table = table
+    return start
+
+
 #: Least |alpha| at which a skewnormal one-start run is trusted.
 _SKEWNORMAL_MIN_ALPHA = 0.3
-
-
-def _start_skewnormal(grid: EvalGrid, ys: np.ndarray):
-    """Skewnormal's start from the ``_half_maximum`` reading (x_l, peak,
-    x_r) of the series: alpha inverts R = (peak - x_l) / (x_r - peak)
-    through ``_skewnormal_table``, omega = (x_r - x_l) / W(alpha) and xi =
-    peak - omega m(alpha).  No candidate when there is no reading, the
-    width x_r - x_l is 0.6 or more (near-box series, whose best skewnormal
-    fit lies in another basin), fewer than 3 samples lie strictly between
-    the crossings (too few to read the shape) or R is off the table."""
-    read = _half_maximum(grid.xs, ys)
-    if read is None:
-        return None
-    x_l, peak, x_r = read
-    ratio_table, alpha, m, span = _skewnormal_table()
-    width, ratio = x_r - x_l, (peak - x_l) / (x_r - peak)
-    inside = np.count_nonzero((grid.xs > x_l) & (grid.xs < x_r))
-    if not (width < _SKEWNORMAL_MAX_WIDTH and inside >= 3
-            and ratio_table[0] <= ratio <= ratio_table[-1]):
-        return None
-    omega = width / np.interp(ratio, ratio_table, span)
-    return np.array([[peak - omega * np.interp(ratio, ratio_table, m), omega,
-                      np.interp(ratio, ratio_table, alpha)]])
 
 
 def _everywhere(theta: np.ndarray) -> np.ndarray:
@@ -636,17 +606,17 @@ class Family:
     peak location (None: numeric argmax);
     ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
     audit's constraint integrals (None: the family is not audited).
-    ``start`` builds the fitter's closed-form start candidates (None: the
-    family has none): it maps an ``EvalGrid`` and the series' values to a
-    (P, d) theta-matrix, or to None when it reads no candidate (the fit
-    then runs its start pool).  Maxent, beta and gengamma regress log y on
-    column pairs in which their log shape is linear (``_log_linear_start``):
-    maxent and beta on their ``weights``, gengamma on log x and -x^p at each
-    power p of a 24-point log-spaced scan over its start range.  Richards
-    and skewnormal read the peak and half-maximum crossings
-    (``_start_richards``, ``_start_skewnormal``).  ``trusted`` maps a
-    (m, d) theta-matrix to the rows at which a one-start run is trusted
-    (by default every row): the fitter drops candidates outside it and runs
+    ``start`` builds the fitter's closed-form start candidates: it maps an
+    ``EvalGrid`` and the series' values to a (P, d) theta-matrix, or to
+    None when it reads no candidate (the fit then runs its start pool).
+    Maxent, beta and gengamma regress log y on column pairs in which their
+    log shape is linear (``_log_linear_start``): maxent and beta on their
+    ``weights``, gengamma on log x and -x^p at each power p of a 24-point
+    log-spaced scan over its start range.  Richards and skewnormal read the
+    peak and half-maximum crossings (``_reading_start``; the gates are the
+    arguments of their entries below).  ``trusted`` maps a (m, d)
+    theta-matrix to the rows at which a one-start run is trusted (by
+    default every row): the fitter drops candidates outside it and runs
     the pool when the one-start run ends outside it.  Skewnormal trusts
     |alpha| >= 0.3, away from its singular point alpha = 0.
     """
@@ -657,10 +627,10 @@ class Family:
     partials: Callable
     description: str
     params: tuple[Param, ...]
+    start: Callable
     mode: Callable[..., float] | None = None
     weights: tuple[str, str] | None = None
     coords: tuple[Callable, Callable] | None = None
-    start: Callable | None = None
     trusted: Callable = _everywhere
 
     def __post_init__(self) -> None:
@@ -689,7 +659,11 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("k", "pos", 2.0, 100.0, (2.0, 100.0), True),
          Param("t0", "free", 0.0, 1.0, (0.0, 1.0), False),
          Param("nu", "pos", 0.1, 10.0, (0.1, 10.0), True)),
-        start=_start_richards,
+        # nu log-spaced over [1e-3, 1e3], read in log nu; k = 1 / scale
+        start=_reading_start(
+            ModelKind.RICHARDS, np.log(np.logspace(-3.0, 3.0, 121)), 1,
+            lambda scale, t0, log_nu: (1.0 / scale, t0, np.exp(log_nu)), max_width=0.7,
+        ),
     ),
     ModelKind.SKEWNORMAL: Family(
         "Skewnormal", "#9467bd", _ls_skewnormal, _dls_skewnormal,
@@ -698,7 +672,11 @@ FAMILIES: dict[ModelKind, Family] = {
         (Param("xi", "free", 0.0, 1.0, (0.0, 1.0), False),
          Param("omega", "pos", 0.02, 1.0, (0.08, 0.3), True),
          Param("alpha", "free", -20.0, 20.0, (-2.5, 2.5), False)),
-        start=_start_skewnormal, trusted=_skewnormal_trusted,
+        start=_reading_start(
+            ModelKind.SKEWNORMAL, np.linspace(-20.0, 20.0, 161), 0,
+            lambda omega, xi, alpha: (xi, omega, alpha), max_width=0.6, min_inside=3,
+        ),
+        trusted=_skewnormal_trusted,
     ),
     ModelKind.GENGAMMA: Family(
         "GenGamma", "#2ca02c", _ls_gengamma, _dls_gengamma,

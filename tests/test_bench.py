@@ -13,6 +13,7 @@ from unifit import (
     GenerationError,
     KIND_ORDER,
     ModelKind,
+    ShapeParams,
     cross_compare,
     fit,
     mode,
@@ -54,6 +55,18 @@ class TestGeneratorDraws:
             assert 0.15 <= mode(params) <= 0.85
             assert _fwhm(params) >= 0.02
             assert evaluate_on(CurveModel(params, 1.0), edges).max() <= 0.05
+
+    @pytest.mark.parametrize(
+        "a,b,width",
+        [
+            (3.0, 3.0, math.sqrt(1.0 - math.sqrt(0.5))),  # both crossings inside
+            (1.0, 3.0, 1.0 - math.sqrt(0.5)),  # peak at 0: runs to 0
+            (3.0, 1.0, 1.0 - math.sqrt(0.5)),  # peak at 1: runs to 1
+            (1.0, 1.0, 1.0),  # flat: no crossing, the whole interval
+        ],
+    )
+    def test_fwhm_runs_a_truncated_width_to_the_end(self, a, b, width):
+        assert _fwhm(ShapeParams(ModelKind.BETA, (a, b))) == pytest.approx(width, abs=1e-6)
 
     def test_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(bench, "_MODE_RANGE", (0.49999, 0.50001))

@@ -77,6 +77,30 @@ def test_compare_counts_changes(census, one_trial):
         census.compare(a, {"fits": a["fits"][1:]})
 
 
+def test_compare_reports_the_largest_relative_change(census, one_trial):
+    a = one_trial[0]
+    b = copy.deepcopy(a)
+    moved, param_only, failed = [r for r in b["fits"]
+                                 if r["fitter"] == "gengamma" and r["rms"] > 1e-3][:3]
+    moved["rms"] *= 1.0 + 3e-9  # below the round-off: neither worse nor better
+    moved["params"][0] *= 1.0 + 5e-9
+    param_only["params"][1] *= 1.0 - 2e-8
+    failed.update(rms=None, params=None, failed=True)  # a switch moves neither
+    self_fit = next(r for r in b["fits"] if r["fitter"] == r["generator"] == "gengamma")
+    assert self_fit["rms"] < 1e-9
+    self_fit["rms"] *= 2.0  # round-off in both: its rms is left out
+    summary = census.compare(a, b)
+    row = summary["gengamma"]
+    assert row["differ"] == 4 and row["switched"] == 1 and row["worse"] == row["better"] == []
+    assert row["rms_change"] == pytest.approx(3e-9, rel=1e-6)
+    assert row["param_change"] == pytest.approx(2e-8, rel=1e-6)
+    others = [r for name, r in summary.items() if name != "gengamma"]
+    assert all(r["rms_change"] == r["param_change"] == 0.0 for r in others)
+    rows = {line.split()[0]: line.split() for line in census.report(summary).splitlines()}
+    assert rows["gengamma"][-2:] == rows["all"][-2:] == ["3e-09", "2e-08"]
+    assert rows["maxent"][-2:] == ["0", "0"]
+
+
 def test_compare_counts_fits_from_the_pool(census, one_trial):
     a = one_trial[0]
     starts = {}

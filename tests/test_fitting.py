@@ -832,23 +832,6 @@ class TestClosedFormStart:
         assert result.rms < 1e-10
         np.testing.assert_allclose(result.model.params.values, theta, rtol=1e-8)
 
-    def test_richards_table_solves_the_half_maximum(self):
-        ratio, log_nu, span = models._richards_table()
-        assert ratio.size == 121 and (np.diff(ratio) > 0.0).all()
-        np.testing.assert_allclose(np.exp(log_nu[[0, 60, -1]]), [1e-3, 1.0, 1e3])
-        # the logistic (nu = 1) is symmetric: u+ = -u- = log(3 + 2 sqrt 2)
-        assert ratio[60] == pytest.approx(1.0, rel=1e-12)
-        assert span[60] == pytest.approx(2.0 * math.log(3.0 + 2.0 * math.sqrt(2.0)), rel=1e-12)
-        # each crossing of the tabled shape is at half its peak
-        for i in (0, 30, 90, 120):
-            nu = math.exp(log_nu[i])
-            u_plus = span[i] * ratio[i] / (1.0 + ratio[i])
-            k = 2.0 * span[i]  # a half-maximum width of 0.5
-            theta = (k, 0.5, nu)
-            grid = EvalGrid(np.array([0.5, 0.5 - u_plus / k, 0.5 + (span[i] - u_plus) / k]))
-            peak, left, right = FAMILIES[ModelKind.RICHARDS].kernel(*theta, grid)
-            np.testing.assert_allclose([left - peak, right - peak], [-math.log(2.0)] * 2, rtol=1e-9)
-
     @pytest.mark.parametrize(
         "case", ["near-box width", "ratio off the table", "maximum at an end point"]
     )
@@ -861,7 +844,7 @@ class TestClosedFormStart:
         else:
             series = _shape_series(kind, (10.0, 1.2, 1.0), 101)
         read = models._half_maximum(series.xs, series.ys)
-        ratio = models._richards_table()[0]
+        ratio = FAMILIES[kind].start.table()[0]
         if case == "maximum at an end point":
             assert read is None
         else:
@@ -885,25 +868,40 @@ class TestClosedFormStart:
         pool = fitting._lm_lockstep(loss, normal, start_pool(kind, 16, 0), 1e-12, 200)[1]
         assert fit(series, kind, FitConfig()).rms <= 1.01 * pool.min()
 
-    def test_skewnormal_table_solves_the_half_maximum(self):
-        ratio, alpha, m, span = models._skewnormal_table()
-        # R falls as alpha rises
-        assert ratio.size == 161 and (np.diff(ratio) > 0.0).all() and (np.diff(alpha) < 0.0).all()
-        np.testing.assert_array_equal(alpha[::-1], np.linspace(-20.0, 20.0, 161))
-        # alpha = 0 is the normal density: mode 0, half-widths sqrt(2 log 2)
-        i = 80
-        assert alpha[i] == 0.0
+    @pytest.mark.parametrize(
+        "kind", [ModelKind.RICHARDS, ModelKind.SKEWNORMAL], ids=lambda k: k.value
+    )
+    def test_table_solves_the_half_maximum(self, kind):
+        family = FAMILIES[kind]
+        ratio, shape, m, span = family.start.table()
+        assert (np.diff(ratio) > 0.0).all()
+        if kind is ModelKind.RICHARDS:
+            # R rises with nu, log-spaced over [1e-3, 1e3]
+            assert ratio.size == 121 and (np.diff(shape) > 0.0).all()
+            np.testing.assert_allclose(np.exp(shape[[0, 60, -1]]), [1e-3, 1.0, 1e3])
+            # the logistic (nu = 1) is symmetric: u+ = -u- = log(3 + 2 sqrt 2)
+            i, width = 60, 2.0 * math.log(3.0 + 2.0 * math.sqrt(2.0))
+        else:
+            # R falls as alpha rises
+            assert ratio.size == 161 and (np.diff(shape) < 0.0).all()
+            np.testing.assert_array_equal(shape[::-1], np.linspace(-20.0, 20.0, 161))
+            # alpha = 0 is the normal density: mode 0, half-widths sqrt(2 log 2)
+            i, width = 80, 2.0 * math.sqrt(2.0 * math.log(2.0))
+            assert shape[i] == 0.0
         assert ratio[i] == pytest.approx(1.0, abs=1e-12) and m[i] == pytest.approx(0.0, abs=1e-12)
-        assert span[i] == pytest.approx(2.0 * math.sqrt(2.0 * math.log(2.0)), abs=1e-12)
-        # on the shape xi = 0.5, omega = 0.1, m is the peak and the tabled
-        # crossings lie at half of it
-        family = FAMILIES[ModelKind.SKEWNORMAL]
-        for i in (0, 40, 100, 160):
+        assert span[i] == pytest.approx(width, rel=1e-12)
+        # on the shape of location 0.5 and a half-maximum width of 0.5, m
+        # is the peak and the tabled crossings lie at half of it
+        location = 1 if kind is ModelKind.RICHARDS else 0
+        for i in (0, ratio.size // 4, 3 * ratio.size // 4, -1):
+            scale = 0.5 / span[i]
+            theta = ((1.0 / scale, 0.5, math.exp(shape[i])) if kind is ModelKind.RICHARDS
+                     else (0.5, scale, shape[i]))
             z_l = m[i] - span[i] * ratio[i] / (1.0 + ratio[i])
-            grid = EvalGrid(0.5 + 0.1 * np.array([m[i], z_l, z_l + span[i]]))
-            peak, left, right = family.kernel(0.5, 0.1, alpha[i], grid)
+            grid = EvalGrid(0.5 + scale * np.array([m[i], z_l, z_l + span[i]]))
+            peak, left, right = family.kernel(*theta, grid)
             np.testing.assert_allclose([left - peak, right - peak], [-math.log(2.0)] * 2, rtol=1e-9)
-            assert abs(family.partials(0.5, 0.1, alpha[i], grid)[0][0]) < 1e-9
+            assert abs(family.partials(*theta, grid)[location][0]) < 1e-9
 
     @pytest.mark.parametrize("n", [101, 1001])
     @pytest.mark.parametrize("theta", SKEWNORMAL_SHAPES, ids=str)

@@ -25,8 +25,11 @@ fit whose closed-form start read no candidate or fell back; ``?`` for a
 census without start counts), the fits more than 1% worse or better (a
 difference of at most 1e-9 in rms is round-off on near-zero self-fits and
 is ignored), the fits that switched between a result and
-``FitFailureError``, and the winners that converged; then each fit more
-than 1% worse or better.
+``FitFailureError``, the winners that converged, and the largest relative
+change in rms and in any parameter among the fits that differ and
+finish in both (how far a change that moves only late digits moves
+them; the rms of a fit whose rms is round-off in both is left out); then
+each fit more than 1% worse or better.
 
 ``run --panel`` fits the off-distribution panel instead: each benchmark
 series of ``trials=12`` at seeds 1 and 2 (or ``--trials`` and the one
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -192,8 +196,14 @@ def _key(record: dict) -> tuple:
 def _row() -> dict:
     return {
         "differ": 0, "passes": [0, 0], "pool": [0, 0], "worse": [], "better": [],
-        "switched": 0, "converged": [0, 0], "forms": {},
+        "switched": 0, "converged": [0, 0], "forms": {}, "rms_change": 0.0,
+        "param_change": 0.0,
     }
+
+
+def _relative(a: float, b: float) -> float:
+    """|b - a| as a share of |a|."""
+    return abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
 
 
 def _bytes(record: dict, starts: bool) -> str:
@@ -211,8 +221,11 @@ def compare(a: dict, b: dict) -> dict:
     byte-identical, passes, pool (the fits run from the start pool; None
     for a census without start counts) and converged are (a, b) pairs,
     worse and better list (generator, trial, rms ratio b / a), led by seed
-    and form for a panel, and forms maps each panel form to its [worse,
-    better, switched] counts (empty for a plain census)."""
+    and form for a panel, forms maps each panel form to its [worse,
+    better, switched] counts (empty for a plain census), and rms_change
+    and param_change are the largest ``_relative`` change in rms (of the
+    fits not at round-off in both) and in any parameter among the fits
+    that differ and finish in both."""
     before = {_key(r): r for r in a["fits"]}
     after = {_key(r): r for r in b["fits"]}
     if before.keys() != after.keys():
@@ -222,7 +235,13 @@ def compare(a: dict, b: dict) -> dict:
         rb = after[key]
         row = out[key[-1]]
         starts = "starts" in ra and "starts" in rb
-        row["differ"] += _bytes(ra, starts) != _bytes(rb, starts)
+        differ = _bytes(ra, starts) != _bytes(rb, starts)
+        row["differ"] += differ
+        if differ and not (ra["failed"] or rb["failed"]):
+            if max(ra["rms"], rb["rms"]) > ROUND_OFF:  # else both are round-off
+                row["rms_change"] = max(row["rms_change"], _relative(ra["rms"], rb["rms"]))
+            row["param_change"] = max(row["param_change"],
+                                      *map(_relative, ra["params"], rb["params"]))
         for i, r in enumerate((ra, rb)):
             row["passes"][i] += r["passes"]
             row["converged"][i] += r["converged"]
@@ -258,7 +277,7 @@ def _count(pair) -> str:
 def report(summary: dict) -> str:
     lines = [
         f"{'fitter':<11} differ {'lockstep passes':<32} {'pool':<12} worse better switched "
-        "converged"
+        f"{'converged':<13} rms_rel param_rel"
     ]
     total = _row()
     for name, row in list(summary.items()) + [("all", total)]:
@@ -270,11 +289,14 @@ def report(summary: dict) -> str:
                 ]
             for field in ("differ", "worse", "better", "switched"):
                 total[field] += row[field]
+            for field in ("rms_change", "param_change"):
+                total[field] = max(total[field], row[field])
+        converged = f"{row['converged'][0]} -> {row['converged'][1]}"
         lines.append(
             f"{name:<11} {row['differ']:>6} {_change(row['passes']):<32} "
             f"{_count(row['pool']):<12} {len(row['worse']):>5} "
-            f"{len(row['better']):>6} {row['switched']:>8} "
-            f"{row['converged'][0]} -> {row['converged'][1]}"
+            f"{len(row['better']):>6} {row['switched']:>8} {converged:<13} "
+            f"{row['rms_change']:>7.2g} {row['param_change']:>9.2g}"
         )
     forms = list(next(iter(summary.values()))["forms"])
     if forms:
