@@ -55,6 +55,7 @@ _MODE_RANGE = (0.15, 0.85)
 _MIN_FWHM = 0.02
 _MAX_EDGE_FRACTION = 0.05  # shape at x in {0, 1} relative to the peak
 _MAX_REJECTIONS = 100
+_FWHM_GRID = 2049  # points on which ``_fwhm`` reads a width
 # fitting holds float64 arrays of (starts, grid points): at this grid the
 # five fits of a series peak near 270 MB, and memory grows with the grid
 _MAX_GRID = 100_000
@@ -105,10 +106,10 @@ class CrossTable:
         return self.cells[KIND_ORDER.index(fitter)][KIND_ORDER.index(generator)]
 
 
-def _fwhm(params: ShapeParams, n_grid: int = 2049) -> float:
+def _fwhm(params: ShapeParams) -> float:
     """Full width at half maximum of the peak-normalized shape, between
     its ``_crossings``; truncated widths extend to the boundary."""
-    xs = np.linspace(0.0, 1.0, n_grid)
+    xs = np.linspace(0.0, 1.0, _FWHM_GRID)
     ys = evaluate_on(CurveModel(params, 1.0), xs)
     k = int(np.argmax(ys))
     left, right = _crossings(xs, ys, k, 0.5 * ys[k])

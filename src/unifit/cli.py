@@ -74,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         "file per family with the family name appended to the stem)",
     )
     p_fit.add_argument("--plot", default=None, help="write an SVG chart here")
-    p_fit.add_argument("--starts", type=int, default=16, help="optimizer start count of the "
-                       "pool that backs up each family's closed-form start (a log-linear "
-                       "solve or, for richards and skewnormal, a half-maximum reading)")
+    p_fit.add_argument("--starts", type=int, default=FitConfig.starts, help="optimizer start "
+                       "count of the pool that backs up each family's closed-form start (a "
+                       "log-linear solve or, for richards and skewnormal, a half-maximum reading)")
     p_fit.add_argument("--seed", type=int, default=0, help="random seed")
     p_fit.add_argument(
         "--padding",
@@ -90,9 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the 5x5 synthetic cross-comparison benchmark",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    p_bench.add_argument("--trials", type=int, default=100, help="trials per table cell")
-    p_bench.add_argument("--grid", type=int, default=101, help="points per synthetic series")
-    p_bench.add_argument("--noise", type=float, default=0.0, help="gaussian noise sd")
+    p_bench.add_argument("--trials", type=int, default=BenchConfig.trials_per_cell,
+                         help="trials per table cell")
+    p_bench.add_argument("--grid", type=int, default=BenchConfig.grid_size,
+                         help="points per synthetic series")
+    p_bench.add_argument("--noise", type=float, default=BenchConfig.noise_sigma,
+                         help="gaussian noise sd")
     p_bench.add_argument("--seed", type=int, default=0, help="random seed")
     p_bench.add_argument("--out", required=True, help="write the 25-row CSV table here")
     p_bench.add_argument(

@@ -145,11 +145,6 @@ def _entropy_integral(p: np.ndarray, w: np.ndarray):
     return -((p * lg) @ w)
 
 
-def _weights_for(params: ShapeParams, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray]:
-    f, g = FAMILIES[params.kind].weights
-    return getattr(grid, f), getattr(grid, g)
-
-
 def entropy_of(params: ShapeParams, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Differential entropy (nats) of the mass-normalized shape."""
     _require_entropy_family(params)
@@ -164,7 +159,7 @@ def constraint_integrals(
     _require_entropy_family(params)
     grid, w = _quad_nodes(quad.node_count, quad.endpoint_cutoff)
     p = _density(params, grid, w)
-    f, g = _weights_for(params, grid)
+    f, g = FAMILIES[params.kind].weight_arrays(grid)
     return float(w @ p), float(w @ (f * p)), float(w @ (g * p))
 
 
@@ -201,7 +196,7 @@ def perturbation_audit(
 
     grid, w = _quad_nodes(quad.node_count, quad.endpoint_cutoff)
     p = _density(params, grid, w)
-    f, g = _weights_for(params, grid)
+    f, g = FAMILIES[params.kind].weight_arrays(grid)
     h0 = float(_entropy_integral(p, w))
 
     # perturbation basis p(x) * x^j and the 3 x (deg+1) constraint matrix

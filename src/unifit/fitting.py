@@ -69,7 +69,7 @@ from .models import (
     ParameterBoundsError,
     SampledSeries,
     ShapeParams,
-    _log_peak,
+    _peak,
     _solve_rows,
     evaluate_on,
 )
@@ -392,9 +392,9 @@ def _lm_lockstep(batch_loss, normal_equations, Z0: np.ndarray, tol: float, max_i
 
 def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rms):
     """The family's closed-form start (1, d) in z, or None when no
-    candidate is valid: the candidates of ``FAMILIES[kind].start`` with
-    theta and z finite and strictly inside the bounds (no clamp) and theta
-    that the family's ``trusted`` accepts; of several, the one of lowest
+    candidate is valid: the candidates of ``FAMILIES[kind].start`` whose
+    theta the family admits (no clamp) and trusts and whose z is finite (a
+    theta on a closed bound has z = -inf); of several, the one of lowest
     profiled rms, the lowest index on ties."""
     family = FAMILIES[kind]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -402,7 +402,7 @@ def _closed_form_start(kind: ModelKind, grid: EvalGrid, ys: np.ndarray, batch_rm
         if theta is None:
             return None
         z = family.coords[1](theta)
-        z = z[family.inside(theta) & family.trusted(theta) & np.isfinite(z).all(axis=1)]
+        z = z[family.admits(theta) & family.trusted(theta) & np.isfinite(z).all(axis=1)]
         if len(z) > 1:
             z = z[np.argmin(batch_rms(z)[0])][None]
     return z if len(z) else None
@@ -425,7 +425,7 @@ def _result(kind, batch_rms, zb, fb, iters, conv, spent: int = 0) -> FitResult:
     try:
         params = ShapeParams(kind, theta[0])
         # the true peak can fall between grid points: rescale to unit peak
-        amplitude = float(amp[0]) * math.exp(_log_peak(params) - float(top[0]))
+        amplitude = float(amp[0]) * math.exp(_peak(params)[1] - float(top[0]))
     except (OverflowError, ParameterBoundsError) as exc:
         # exact in real arithmetic, the z -> theta map can leave the family's
         # bounds in float64 (1 + exp(z) rounds to 1, or exp(z) overflows or

@@ -56,6 +56,7 @@ __all__ = [
 _SQRT1_2 = math.sqrt(0.5)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ARGMAX_GRID, _ARGMAX_TOL = 4097, 1e-10  # ``_argmax_numeric``'s scan and final bracket
 
 
 class ParameterBoundsError(ValueError):
@@ -70,11 +71,6 @@ class ModelKind(enum.Enum):
     GENGAMMA = "gengamma"
     MAXENT = "maxent"
     BETA = "beta"
-
-    @property
-    def n_params(self) -> int:
-        """Number of shape parameters (amplitude not included)."""
-        return len(FAMILIES[self].params)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -97,24 +93,6 @@ class ModelKind(enum.Enum):
 KIND_ORDER = tuple(ModelKind)
 
 
-def _check_bounds(kind: ModelKind, values: tuple[float, ...]) -> None:
-    specs = FAMILIES[kind].params
-    for spec, v in zip(specs, values):
-        if not math.isfinite(v):
-            raise ParameterBoundsError(
-                f"{kind.value} requires finite parameters, got {spec.name}={v!r}"
-            )
-    for spec, v in zip(specs, values):
-        if spec.constraint == "free":
-            continue
-        bound, strict = _BOUNDS[spec.constraint]
-        if v < bound or (strict and v == bound):
-            op = ">" if strict else ">="
-            raise ParameterBoundsError(
-                f"{kind.value} requires {spec.name} {op} {bound:g}, got {spec.name}={v!r}"
-            )
-
-
 @dataclass(frozen=True)
 class ShapeParams:
     """Shape parameters of one family, validated against its bounds."""
@@ -125,13 +103,23 @@ class ShapeParams:
     def __post_init__(self) -> None:
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
-        expected = self.kind.n_params
-        if len(values) != expected:
+        specs, kind = FAMILIES[self.kind].params, self.kind.value
+        if len(values) != len(specs):
             raise ParameterBoundsError(
-                f"{self.kind.value} takes {expected} parameters "
+                f"{kind} takes {len(specs)} parameters "
                 f"({', '.join(self.kind.param_names)}), got {len(values)}"
             )
-        _check_bounds(self.kind, values)
+        for spec, v in zip(specs, values):
+            if not math.isfinite(v):
+                raise ParameterBoundsError(
+                    f"{kind} requires finite parameters, got {spec.name}={v!r}"
+                )
+        for spec, v in zip(specs, values):
+            if not spec.admits(v):
+                op = ">=" if spec.closed else ">"
+                raise ParameterBoundsError(
+                    f"{kind} requires {spec.name} {op} {spec.lower:g}, got {spec.name}={v!r}"
+                )
 
     def named(self) -> dict[str, float]:
         """Parameter values keyed by their conventional names."""
@@ -327,15 +315,16 @@ def _log_linear(log_y: np.ndarray, w: np.ndarray, f: np.ndarray, g: np.ndarray) 
 
 def _log_linear_start(columns: Callable) -> Callable:
     """The start builder of a family whose log shape is linear in theta:
-    ``columns`` maps an ``EvalGrid`` to P column pairs f, g, each (P, n) or
-    broadcasting to it, on which log s = c0 + c1 f + c2 g, and a map from
-    coefficient rows (P, 3) to theta (P, d).  Each pair regresses log y on
-    (1, f, g) over the points where y is above 2% of its maximum and every
-    pair's f and g are finite, weighted by y (the first-order error of
-    log y is dy / y); fewer than 3 such points give no candidate."""
+    ``columns`` maps an ``EvalGrid`` to P column pairs f, g, each (P, n),
+    (n,) or broadcasting to (P, n), on which log s = c0 + c1 f + c2 g, and
+    a map from coefficient rows (P, 3) to theta (P, d).  Each pair regresses
+    log y on (1, f, g) over the points where y is above 2% of its maximum
+    and every pair's f and g are finite, weighted by y (the first-order
+    error of log y is dy / y); fewer than 3 such points give no candidate."""
 
     def start(grid: EvalGrid, ys: np.ndarray):
         f, g, to_theta = columns(grid)
+        f, g = np.atleast_2d(f, g)
         use = (ys > 0.02 * ys.max()) & np.isfinite(f).all(axis=0) & np.isfinite(g).all(axis=0)
         if np.count_nonzero(use) < 3:
             return None
@@ -345,11 +334,11 @@ def _log_linear_start(columns: Callable) -> Callable:
     return start
 
 
-def _linear_in(f: str, g: str, k: float, t: float) -> Callable:
-    """The start of a log shape linear in theta on the named ``EvalGrid``
-    arrays f and g: one candidate, theta = t + k (c1, c2)."""
+def _linear_in(kind: ModelKind, k: float, t: float) -> Callable:
+    """The start of a log shape linear in theta on the family's ``weights``
+    f and g: one candidate, theta = t + k (c1, c2)."""
     return _log_linear_start(
-        lambda grid: (getattr(grid, f)[None], getattr(grid, g)[None], lambda c: t + k * c[:, 1:])
+        lambda grid: (*FAMILIES[kind].weight_arrays(grid), lambda c: t + k * c[:, 1:])
     )
 
 
@@ -499,8 +488,8 @@ def _skewnormal_trusted(theta: np.ndarray) -> np.ndarray:
 def _param_coords(params: tuple[Param, ...]) -> tuple[Callable, Callable]:
     """The ``coords`` a ``Family`` gets when it names none (see there);
     dtheta/dz is exactly 1.0 in the free columns."""
-    free = np.array([spec.constraint == "free" for spec in params])
-    bound = np.array([0.0 if f else _BOUNDS[spec.constraint][0] for f, spec in zip(free, params)])
+    free = np.array([spec.lower == -math.inf for spec in params])
+    bound = np.where(free, 0.0, [spec.lower for spec in params])
     free.setflags(write=False)
     bound.setflags(write=False)
 
@@ -564,28 +553,31 @@ def _mode_gengamma(alpha, d, p):
 
 # --- the family registry ----------------------------------------------------
 
-#: Lower bound per constraint, and whether the bound itself is excluded.
-_BOUNDS = {"pos": (0.0, True), "ge1": (1.0, False), "gt1": (1.0, True)}
-
-
 @dataclass(frozen=True)
 class Param:
     """One shape parameter: its bound and the ranges it is drawn from.
 
-    ``constraint`` is the bound (``pos``: > 0, ``ge1``: >= 1, ``gt1``:
-    > 1, ``free``: none).  ``lo``/``hi`` bound the fitter's start draws
-    and ``gen`` the benchmark's generation draws, log-uniform when
-    ``log_scale``; with ``shifted`` both ranges apply to theta - 1.
-    ``from_unit`` maps uniform draws into either range.
+    ``lower`` is the lower bound (-inf: none), which the value may equal
+    only when ``closed`` (beta's a, b >= 1), as ``admits`` reads it.
+    ``lo``/``hi`` bound the fitter's start draws and ``gen`` the
+    benchmark's generation draws, log-uniform when ``log_scale``; with
+    ``shifted`` both ranges apply to theta - 1.  ``from_unit`` maps uniform
+    draws into either range.
     """
 
     name: str
-    constraint: str  # "pos" | "ge1" | "gt1" | "free"
+    lower: float
     lo: float
     hi: float
     gen: tuple[float, float]
     log_scale: bool
     shifted: bool = False
+    closed: bool = False
+
+    def admits(self, v):
+        """Whether v (a number or an array) is within the bound: the one
+        rule of ``ShapeParams``' check and the start filter (``Family.admits``)."""
+        return v >= self.lower if self.closed else v > self.lower
 
     def from_unit(self, u, lo: float, hi: float):
         """Map uniform draws u in [0, 1) into [lo, hi], shifted by 1 if ``shifted``."""
@@ -601,11 +593,12 @@ class Family:
     unconstrained coordinates z, (z -> (theta, dtheta/dz), theta -> z) on
     (m, d) matrices; ``partials``, broadcasting like ``kernel``, times
     dtheta/dz is d log s / d z_j.  Left out, it is built from the
-    ``Param``s: theta = bound + exp(z), or theta = z for a free parameter,
+    ``Param``s: theta = lower + exp(z), or theta = z for a free parameter,
     with ``partials`` giving d log s / d theta_j.  ``mode`` is the analytic
-    peak location (None: numeric argmax);
-    ``weights`` names the two ``EvalGrid`` arrays f, g of the entropy
-    audit's constraint integrals (None: the family is not audited).
+    peak location (None: numeric argmax).  ``weights`` names the two
+    ``EvalGrid`` arrays f, g (``weight_arrays``) of the entropy audit's
+    constraint integrals (None: the family is not audited); maxent's and
+    beta's closed-form starts regress on the same two.
     ``start`` builds the fitter's closed-form start candidates: it maps an
     ``EvalGrid`` and the series' values to a (P, d) theta-matrix, or to
     None when it reads no candidate (the fit then runs its start pool).
@@ -637,12 +630,17 @@ class Family:
         if self.coords is None:
             object.__setattr__(self, "coords", _param_coords(self.params))
 
-    def inside(self, theta: np.ndarray) -> np.ndarray:
-        """Whether each row of a (m, d) theta-matrix is finite and strictly
-        inside every bound."""
-        bound = [-math.inf if s.constraint == "free" else _BOUNDS[s.constraint][0]
-                 for s in self.params]
-        return (np.isfinite(theta) & (theta > np.array(bound))).all(axis=1)
+    def admits(self, theta: np.ndarray) -> np.ndarray:
+        """Whether each row of a (m, d) theta-matrix is finite and within
+        every bound (``Param.admits``)."""
+        ok = np.isfinite(theta).all(axis=1)
+        for spec, column in zip(self.params, theta.T):
+            ok &= spec.admits(column)
+        return ok
+
+    def weight_arrays(self, grid: EvalGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays f, g of grid that ``weights`` names."""
+        return getattr(grid, self.weights[0]), getattr(grid, self.weights[1])
 
 
 # Generation ranges emphasize each family's characteristic geometry within
@@ -656,9 +654,9 @@ FAMILIES: dict[ModelKind, Family] = {
         "Richards", "#1f77b4", _ls_richards, _dls_richards,
         "derivative of the Richards (generalized logistic) growth curve; "
         "k > 0 rate, t0 peak location (free), nu > 0 asymmetry",
-        (Param("k", "pos", 2.0, 100.0, (2.0, 100.0), True),
-         Param("t0", "free", 0.0, 1.0, (0.0, 1.0), False),
-         Param("nu", "pos", 0.1, 10.0, (0.1, 10.0), True)),
+        (Param("k", 0.0, 2.0, 100.0, (2.0, 100.0), True),
+         Param("t0", -math.inf, 0.0, 1.0, (0.0, 1.0), False),
+         Param("nu", 0.0, 0.1, 10.0, (0.1, 10.0), True)),
         # nu log-spaced over [1e-3, 1e3], read in log nu; k = 1 / scale
         start=_reading_start(
             ModelKind.RICHARDS, np.log(np.logspace(-3.0, 3.0, 121)), 1,
@@ -669,9 +667,9 @@ FAMILIES: dict[ModelKind, Family] = {
         "Skewnormal", "#9467bd", _ls_skewnormal, _dls_skewnormal,
         "skew-normal density restricted to [0, 1]; xi location (free), "
         "omega > 0 scale, alpha skewness (free)",
-        (Param("xi", "free", 0.0, 1.0, (0.0, 1.0), False),
-         Param("omega", "pos", 0.02, 1.0, (0.08, 0.3), True),
-         Param("alpha", "free", -20.0, 20.0, (-2.5, 2.5), False)),
+        (Param("xi", -math.inf, 0.0, 1.0, (0.0, 1.0), False),
+         Param("omega", 0.0, 0.02, 1.0, (0.08, 0.3), True),
+         Param("alpha", -math.inf, -20.0, 20.0, (-2.5, 2.5), False)),
         start=_reading_start(
             ModelKind.SKEWNORMAL, np.linspace(-20.0, 20.0, 161), 0,
             lambda omega, xi, alpha: (xi, omega, alpha), max_width=0.6, min_inside=3,
@@ -682,9 +680,9 @@ FAMILIES: dict[ModelKind, Family] = {
         "GenGamma", "#2ca02c", _ls_gengamma, _dls_gengamma,
         "generalized gamma kernel x^(d-1) exp(-(x/alpha)^p); alpha > 0 "
         "scale, d > 1 shape (interior peak), p > 0 power",
-        (Param("alpha", "pos", 0.05, 2.0, (0.05, 2.0), True),
-         Param("d", "gt1", 1.1, 30.0, (1.1, 30.0), True),
-         Param("p", "pos", 0.3, 10.0, (0.5, 3.0), True)),
+        (Param("alpha", 0.0, 0.05, 2.0, (0.05, 2.0), True),
+         Param("d", 1.0, 1.1, 30.0, (1.1, 30.0), True),
+         Param("p", 0.0, 0.3, 10.0, (0.5, 3.0), True)),
         mode=_mode_gengamma, coords=(_gengamma_theta, _gengamma_z),
         start=_log_linear_start(_gengamma_columns),
     ),
@@ -692,19 +690,19 @@ FAMILIES: dict[ModelKind, Family] = {
         "MaxEnt", "#d62728", _ls_maxent, _dls_maxent,
         "maximum entropy shape exp(-a/x - b/(1-x)); a, b > 0; vanishes at "
         "both endpoints, peak at sqrt(a)/(sqrt(a)+sqrt(b))",
-        (Param("a", "pos", 0.05, 50.0, (0.02, 0.7), True),
-         Param("b", "pos", 0.05, 50.0, (0.02, 0.7), True)),
+        (Param("a", 0.0, 0.05, 50.0, (0.02, 0.7), True),
+         Param("b", 0.0, 0.05, 50.0, (0.02, 0.7), True)),
         mode=_mode_maxent, weights=("inv_x", "inv_omx"),
-        start=_linear_in("inv_x", "inv_omx", -1.0, 0.0),
+        start=_linear_in(ModelKind.MAXENT, -1.0, 0.0),
     ),
     ModelKind.BETA: Family(
         "Beta", "#ff7f0e", _ls_beta, _dls_beta,
         "beta kernel x^(a-1) (1-x)^(b-1); a, b >= 1; maximum entropy shape "
         "under logarithmic boundary weights",
-        (Param("a", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True),
-         Param("b", "ge1", 0.05, 50.0, (0.05, 0.2), True, shifted=True)),
+        (Param("a", 1.0, 0.05, 50.0, (0.05, 0.2), True, shifted=True, closed=True),
+         Param("b", 1.0, 0.05, 50.0, (0.05, 0.2), True, shifted=True, closed=True)),
         mode=_mode_beta, weights=("log_x", "log_omx"),
-        start=_linear_in("log_x", "log_omx", 1.0, 1.0),
+        start=_linear_in(ModelKind.BETA, 1.0, 1.0),
     ),
 }
 
@@ -727,32 +725,31 @@ def shape_value(params: ShapeParams, x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    grid = EvalGrid(np.array([x]))
-    return float(np.exp(log_shape_on_grid(params, grid)[0]))
+    return float(np.exp(_scalar_log_shape(params, x)))
 
 
 def _scalar_log_shape(params: ShapeParams, x: float) -> float:
     return float(log_shape_on_grid(params, EvalGrid(np.array([x])))[0])
 
 
-def _argmax_numeric(params: ShapeParams, n_grid: int = 4097, tol: float = 1e-10) -> float:
+def _argmax_numeric(params: ShapeParams) -> float:
     """Coarse grid scan followed by golden-section refinement.
 
     The shapes are unimodal, so a bracketed derivative-free search is
     robust; the log shape is used because it is better conditioned for
     spiked parameters.
     """
-    xs = np.linspace(0.0, 1.0, n_grid)
+    xs = np.linspace(0.0, 1.0, _ARGMAX_GRID)
     ls = log_shape_on_grid(params, EvalGrid(xs))
     i = int(np.argmax(ls))
     lo = xs[i - 1] if i > 0 else xs[0]
-    hi = xs[i + 1] if i < n_grid - 1 else xs[-1]
+    hi = xs[i + 1] if i < _ARGMAX_GRID - 1 else xs[-1]
 
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc = _scalar_log_shape(params, c)
     fd = _scalar_log_shape(params, d)
-    while hi - lo > tol:
+    while hi - lo > _ARGMAX_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
@@ -770,6 +767,13 @@ def _argmax_numeric(params: ShapeParams, n_grid: int = 4097, tol: float = 1e-10)
 
 
 @lru_cache(maxsize=4096)
+def _peak(params: ShapeParams) -> tuple[float, float]:
+    """(mode, log s at the mode), one cache entry per equal parameter set."""
+    analytic = FAMILIES[params.kind].mode
+    x = analytic(*params.values) if analytic else _argmax_numeric(params)
+    return x, _scalar_log_shape(params, x)
+
+
 def mode(params: ShapeParams) -> float:
     """Peak location in [0, 1].
 
@@ -777,13 +781,7 @@ def mode(params: ShapeParams) -> float:
     golden-section refinement) for richards and skewnormal, clamped to the
     unit interval.
     """
-    analytic = FAMILIES[params.kind].mode
-    return analytic(*params.values) if analytic else _argmax_numeric(params)
-
-
-@lru_cache(maxsize=4096)
-def _log_peak(params: ShapeParams) -> float:
-    return _scalar_log_shape(params, mode(params))
+    return _peak(params)[0]
 
 
 def evaluate_on(model: CurveModel, xs: np.ndarray) -> np.ndarray:
@@ -796,7 +794,7 @@ def evaluate_on(model: CurveModel, xs: np.ndarray) -> np.ndarray:
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("xs must lie within [0, 1]")
     ls = log_shape_on_grid(model.params, EvalGrid(xs))
-    return model.amplitude * np.exp(ls - _log_peak(model.params))
+    return model.amplitude * np.exp(ls - _peak(model.params)[1])
 
 
 def evaluate(model: CurveModel, x: float) -> float:

@@ -22,11 +22,12 @@ _MARGIN_LEFT = 78
 _MARGIN_RIGHT = 170
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 64
+_TARGET_TICKS = 6
 
 
-def _nice_step(span: float, target_ticks: int = 6) -> float:
-    """Round span/target to 1, 2 or 5 times a power of ten."""
-    raw = span / max(target_ticks, 1)
+def _nice_step(span: float) -> float:
+    """Round span / _TARGET_TICKS to 1, 2 or 5 times a power of ten."""
+    raw = span / _TARGET_TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -26,8 +26,8 @@ from unifit.entropy import (
     _density,
     _quad_nodes,
     _require_entropy_family,
-    _weights_for,
 )
+from unifit.models import FAMILIES
 
 # Closed-form differential entropies computed with a 40-digit independent
 # script (log B(a,b) - (a-1)psi(a) - (b-1)psi(b) + (a+b-2)psi(a+b) for the
@@ -59,7 +59,7 @@ def _reference_audit(params, quad=QuadratureSpec(), trials=200, seed=0):
     _require_entropy_family(params)
     grid, w = _quad_nodes(quad.node_count, quad.endpoint_cutoff)
     p = _density(params, grid, w)
-    f, g = _weights_for(params, grid)
+    f, g = FAMILIES[params.kind].weight_arrays(grid)
     h0 = _per_trial_entropy(p, w)
 
     powers = np.vander(grid.xs, _POLY_DEGREE + 1, increasing=True).T
@@ -124,7 +124,7 @@ def _first_draw(params, seed, trial):
     """(p, the first draw's perturbation before scaling, its sup norm)."""
     grid, w = _quad_nodes(2001, 1e-8)
     p = _density(params, grid, w)
-    f, g = _weights_for(params, grid)
+    f, g = FAMILIES[params.kind].weight_arrays(grid)
     V = p * np.vander(grid.xs, _POLY_DEGREE + 1, increasing=True).T
     Q, _ = np.linalg.qr(((np.stack([np.ones_like(f), f, g]) * w) @ V.T).T)
     c = np.random.default_rng(mix64(seed, _AUDIT_TAG, trial, 0)).standard_normal(_POLY_DEGREE + 1)

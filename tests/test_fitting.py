@@ -689,7 +689,7 @@ class TestClosedFormStart:
         c = np.linalg.lstsq(X, y * np.log(y), rcond=None)[0]
         # log s = -a/x - b/(1-x) for maxent, (a-1) log x + (b-1) log(1-x) for beta
         theta = (1.0 + c[1:] if kind is ModelKind.BETA else -c[1:])[None]
-        assert FAMILIES[kind].inside(theta)[0]
+        assert FAMILIES[kind].admits(theta)[0]
         start = FAMILIES[kind].coords[0](runs[0])[0][0]
         np.testing.assert_allclose(start, theta[0], rtol=1e-9, atol=0)
 
@@ -734,6 +734,23 @@ class TestClosedFormStart:
         theta = FAMILIES[kind].start(EvalGrid(series.xs), series.ys)
         assert theta[0, 1] == pytest.approx(b, abs=1e-3)
         config = bench._fit_config(bench_config, 0, trial, KIND_ORDER.index(kind))
+        result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
+        assert [len(z) for z in runs] == [16]
+        _assert_pool_result(result, series, kind, config)
+
+    def test_beta_candidate_on_its_closed_bound_is_not_run(self, monkeypatch):
+        # a = 1 is a valid beta parameter, so the bound rule admits the
+        # candidate; its z = log(a - 1) is -inf, so the start filter still
+        # drops it and the pool runs
+        kind = ModelKind.BETA
+        theta = np.array([[1.0, 2.0]])
+        family = FAMILIES[kind]
+        assert family.admits(theta)[0]
+        with np.errstate(divide="ignore"):
+            assert family.coords[1](theta)[0, 0] == -math.inf
+        monkeypatch.setitem(FAMILIES, kind, dataclasses.replace(family, start=lambda g, y: theta))
+        series = _shape_series(kind, (3.0, 2.0), 101)
+        config = FitConfig(seed=5)
         result, runs, _ = _fit_logging_runs(monkeypatch, series, kind, config)
         assert [len(z) for z in runs] == [16]
         _assert_pool_result(result, series, kind, config)
@@ -1012,7 +1029,7 @@ class TestStartPool:
         if kind is ModelKind.GENGAMMA:
             expected = np.ones_like(z)
         else:
-            free = np.array([spec.constraint == "free" for spec in family.params])
+            free = np.array([spec.lower == -math.inf for spec in family.params])
             expected = np.where(free, 1.0, np.exp(z))
         assert np.array_equal(dtheta, expected)
 

@@ -1,9 +1,15 @@
 import math
+import re
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import unifit
 from unifit import (
     CurveModel,
     KIND_ORDER,
@@ -19,7 +25,7 @@ from unifit import (
 )
 from unifit._seeds import mix64
 from unifit.bench import sample_generator_params
-from unifit.models import EvalGrid
+from unifit.models import FAMILIES, EvalGrid
 
 
 def maxent(a, b):
@@ -256,3 +262,96 @@ class TestValidation:
         # NaN fails neither range comparison
         with pytest.raises(ValueError, match="finite"):
             SampledSeries(np.array([0.0, bad, 1.0]), np.array([0.0, 1.0, 0.0]))
+
+
+# The bound table, the per-parameter constraint strings and _check_bounds
+# of the registry before each Param held its bound as a number: the
+# reference that ShapeParams' one numeric rule (Param.admits) must match.
+_BOUNDS = {"pos": (0.0, True), "ge1": (1.0, False), "gt1": (1.0, True)}
+_CONSTRAINTS = {
+    ModelKind.RICHARDS: ("pos", "free", "pos"),
+    ModelKind.SKEWNORMAL: ("free", "pos", "free"),
+    ModelKind.GENGAMMA: ("pos", "gt1", "pos"),
+    ModelKind.MAXENT: ("pos", "pos"),
+    ModelKind.BETA: ("ge1", "ge1"),
+}
+_REFERENCE = {
+    kind: SimpleNamespace(
+        params=tuple(
+            SimpleNamespace(name=spec.name, constraint=c)
+            for spec, c in zip(FAMILIES[kind].params, constraints)
+        )
+    )
+    for kind, constraints in _CONSTRAINTS.items()
+}
+
+
+def _check_bounds(kind, values):
+    FAMILIES = _REFERENCE  # noqa: N806 - the body below is the reference, verbatim
+    specs = FAMILIES[kind].params
+    for spec, v in zip(specs, values):
+        if not math.isfinite(v):
+            raise ParameterBoundsError(
+                f"{kind.value} requires finite parameters, got {spec.name}={v!r}"
+            )
+    for spec, v in zip(specs, values):
+        if spec.constraint == "free":
+            continue
+        bound, strict = _BOUNDS[spec.constraint]
+        if v < bound or (strict and v == bound):
+            op = ">" if strict else ">="
+            raise ParameterBoundsError(
+                f"{kind.value} requires {spec.name} {op} {bound:g}, got {spec.name}={v!r}"
+            )
+
+
+#: Values at and next to every bound (0 and 1), the signed zeros, the
+#: infinities and NaN, mixed with arbitrary floats.
+_NEAR_BOUNDS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+         0.5, 2.0, -1.0, math.inf, -math.inf, math.nan]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestBoundRule:
+    @pytest.mark.parametrize("kind", KIND_ORDER, ids=lambda k: k.value)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_shape_params_match_the_reference_check(self, kind, data):
+        values = tuple(data.draw(_NEAR_BOUNDS) for _ in FAMILIES[kind].params)
+        try:
+            _check_bounds(kind, values)
+        except ParameterBoundsError as exc:
+            with pytest.raises(ParameterBoundsError) as err:
+                ShapeParams(kind, values)
+            assert str(err.value) == str(exc)
+        else:
+            assert ShapeParams(kind, values).values == values
+
+        # the start filter: a candidate runs only if it is finite and
+        # strictly inside every bound, as at the reference, the closed
+        # bounds being dropped by their infinite z
+        theta = np.array([values])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z_finite = np.isfinite(FAMILIES[kind].coords[1](theta)).all()
+        strictly_inside = all(
+            math.isfinite(v) and (spec.constraint == "free" or v > _BOUNDS[spec.constraint][0])
+            for spec, v in zip(_REFERENCE[kind].params, values)
+        )
+        assert (FAMILIES[kind].admits(theta)[0] and z_finite) == (strictly_inside and z_finite)
+
+
+def test_model_kind_members_are_named_in_models_only():
+    # every family fact lives in the models.FAMILIES registry: no module
+    # but models.py branches on, or tabulates by, a ModelKind member
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(unifit.__file__).parent.glob("*.py"))
+        if path.name != "models.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if re.search(r"ModelKind\.[A-Z]", line)
+    ]
+    assert hits == []
